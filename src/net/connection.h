@@ -60,6 +60,15 @@ class Connection {
   [[nodiscard]] bool over_watermark() const noexcept {
     return out_.size() - out_pos_ > high_watermark_;
   }
+  /// Lifts `read_paused` once the output is back under the watermark;
+  /// true when it did. Every path that flushes calls this before
+  /// re-registering interest, so whichever one drains the buffer also
+  /// re-arms EPOLLIN.
+  bool resume_reads() noexcept {
+    if (!read_paused || over_watermark()) return false;
+    read_paused = false;
+    return true;
+  }
 
   // Transport-visible state the owning reactor drives.
   bool read_paused = false;   ///< over watermark: EPOLLIN dropped

@@ -383,10 +383,7 @@ void NetServer::handle_conn_event(Reactor& r, int fd, std::uint32_t events) {
       close_conn(r, fd);
       return;
     }
-    if (c.read_paused && !c.over_watermark()) {
-      c.read_paused = false;
-      resumed_read = true;
-    }
+    resumed_read = c.resume_reads();
     update_write_interest(r, c);
   }
   if ((events & (EPOLLIN | EPOLLRDHUP)) != 0 || resumed_read) {
@@ -557,6 +554,11 @@ void NetServer::flush_tickets(Reactor& r) {
       }
       finished_cv_.notify_all();
     }
+    // This flush may have drained the buffer itself, in which case no
+    // EPOLLOUT follows to lift a read pause. Re-adding EPOLLIN with
+    // bytes already buffered makes epoll report them (EPOLL_CTL_MOD
+    // re-checks readiness), so the next wait reads them.
+    c.resume_reads();
     update_write_interest(r, c);
   }
 }

@@ -6,6 +6,7 @@
 
 #include "util/simd.h"
 #include "util/snapshot.h"
+#include "util/thread_pool.h"
 
 namespace smerge::server {
 
@@ -71,27 +72,36 @@ ChannelLedger::ChannelLedger(double span, double bucket_width) : width_(bucket_w
 
 std::size_t ChannelLedger::bucket_of(double t) const noexcept {
   if (!(t > 0.0)) return 0;
-  const double b = std::floor(t / width_);
+  // b > 0 here, so truncation is floor, and floor(b) >= last exactly
+  // when b >= last (last is an integer) — no libm call on the hot path.
+  const double b = t / width_;
   const auto last = buckets_.size() - 1;
   return b >= static_cast<double>(last) ? last : static_cast<std::size_t>(b);
+}
+
+void ChannelLedger::pull(std::size_t node) noexcept {
+  const std::size_t l = 2 * node;
+  const std::size_t r = 2 * node + 1;
+  tree_net_[node] = tree_net_[l] + tree_net_[r];
+  tree_maxp_[node] = std::max(tree_maxp_[l], tree_net_[l] + tree_maxp_[r]);
 }
 
 void ChannelLedger::tree_update(std::size_t b) noexcept {
   std::size_t pos = leaves_ + b;
   tree_net_[pos] = buckets_[b].net;
   tree_maxp_[pos] = buckets_[b].max_prefix;
-  for (pos /= 2; pos >= 1; pos /= 2) {
-    const std::size_t l = 2 * pos;
-    const std::size_t r = 2 * pos + 1;
-    tree_net_[pos] = tree_net_[l] + tree_net_[r];
-    tree_maxp_[pos] = std::max(tree_maxp_[l], tree_net_[l] + tree_maxp_[r]);
-    if (pos == 1) break;
-  }
+  for (pos /= 2; pos >= 1; pos /= 2) pull(pos);
 }
 
-void ChannelLedger::push_event(const LedgerEvent& e) {
-  const std::size_t b = bucket_of(e.time);
-  Bucket& bucket = buckets_[b];
+void ChannelLedger::rebuild_tree() noexcept {
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    tree_net_[leaves_ + b] = buckets_[b].net;
+    tree_maxp_[leaves_ + b] = buckets_[b].max_prefix;
+  }
+  for (std::size_t pos = leaves_ - 1; pos >= 1; --pos) pull(pos);
+}
+
+bool ChannelLedger::append(Bucket& bucket, const LedgerEvent& e) {
   const bool was_clean = bucket.sorted == bucket.events.size();
   const bool in_order =
       bucket.events.empty() || !event_less(e, bucket.events.back());
@@ -102,10 +112,15 @@ void ChannelLedger::push_event(const LedgerEvent& e) {
     // Common case (streams arrive roughly in time order): the bucket
     // stays sorted and its max-prefix extends in O(1).
     bucket.sorted = bucket.events.size();
-    bucket.max_prefix = std::max(bucket.max_prefix, bucket.net);
-  } else if (was_clean) {
-    dirty_.push_back(static_cast<std::uint32_t>(b));
+    bucket.max_prefix = bmax(bucket.max_prefix, bucket.net);
+    return false;
   }
+  return was_clean;
+}
+
+void ChannelLedger::push_event(const LedgerEvent& e) {
+  const std::size_t b = bucket_of(e.time);
+  if (append(buckets_[b], e)) dirty_.push_back(static_cast<std::uint32_t>(b));
   tree_update(b);
   ++events_;
 }
@@ -122,24 +137,12 @@ void ChannelLedger::apply_batch(std::span<const LedgerEvent> batch) {
   if (batch.empty()) return;
   touched_.clear();
   for (const LedgerEvent& e : batch) {
-    // Byte-for-byte the push_event append: same bucket contents in the
-    // same insertion order, same sorted cursor, same dirty-list order —
-    // a checkpoint taken after apply_batch equals one taken after the
-    // equivalent push_event sequence. Only the tree replay is deferred.
+    // The push_event append: same bucket contents in the same insertion
+    // order, same sorted cursor, same dirty-list order — a checkpoint
+    // taken after apply_batch equals one taken after the equivalent
+    // push_event sequence. Only the tree replay is deferred.
     const std::size_t b = bucket_of(e.time);
-    Bucket& bucket = buckets_[b];
-    const bool was_clean = bucket.sorted == bucket.events.size();
-    const bool in_order =
-        bucket.events.empty() || !event_less(e, bucket.events.back());
-    bucket.events.push_back(e);
-    bucket.deltas.push_back(e.delta);
-    bucket.net += e.delta;
-    if (was_clean && in_order) {
-      bucket.sorted = bucket.events.size();
-      bucket.max_prefix = bmax(bucket.max_prefix, bucket.net);
-    } else if (was_clean) {
-      dirty_.push_back(static_cast<std::uint32_t>(b));
-    }
+    if (append(buckets_[b], e)) dirty_.push_back(static_cast<std::uint32_t>(b));
     if (touched_.empty() || touched_.back() != b) {
       touched_.push_back(static_cast<std::uint32_t>(b));
     }
@@ -152,6 +155,80 @@ void ChannelLedger::apply_batch(std::span<const LedgerEvent> batch) {
   touched_.erase(std::unique(touched_.begin(), touched_.end()),
                  touched_.end());
   for (const std::uint32_t b : touched_) tree_update(b);
+}
+
+void ChannelLedger::apply_runs(std::span<const Run> runs, util::ThreadPool& pool,
+                               unsigned parts) {
+  const std::size_t count = buckets_.size();
+  const std::size_t width = std::clamp<std::size_t>(parts, 1, count);
+  const auto lo_of = [&](std::size_t p) { return count * p / width; };
+  std::vector<std::uint32_t> owner(count);
+  for (std::size_t p = 0; p < width; ++p) {
+    std::fill(owner.begin() + static_cast<std::ptrdiff_t>(lo_of(p)),
+              owner.begin() + static_cast<std::ptrdiff_t>(lo_of(p + 1)),
+              static_cast<std::uint32_t>(p));
+  }
+  // First, over runs: the index window [first, last) of each run that
+  // holds each part's events. Runs are emission-ordered, so close to
+  // time-ordered, and a window covers little beyond the part's share:
+  // the parts then read each event about twice in all, not once each.
+  struct Window {
+    std::size_t first = 0;
+    std::size_t last = 0;
+  };
+  std::vector<Window> windows(runs.size() * width);
+  pool.run(0, static_cast<std::int64_t>(runs.size()), 1, static_cast<unsigned>(width),
+           [&](std::int64_t r) {
+             const auto i = static_cast<std::size_t>(r);
+             Window* w = windows.data() + i * width;
+             const std::span<const ChannelEvent> events = runs[i].events;
+             for (std::size_t j = 0; j < events.size(); ++j) {
+               Window& part = w[owner[bucket_of(events[j].time)]];
+               if (part.last == 0) part.first = j;
+               part.last = j + 1;
+             }
+           });
+  const auto fill = [&](std::int64_t part) {
+    const auto p = static_cast<std::size_t>(part);
+    const std::size_t lo = lo_of(p);
+    const std::size_t hi = lo_of(p + 1);
+    // Visits this part's events in run order, each run in index order.
+    const auto each_own = [&](auto&& visit) {
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        const Window w = windows[i * width + p];
+        for (std::size_t j = w.first; j < w.last; ++j) {
+          const ChannelEvent& c = runs[i].events[j];
+          const std::size_t b = bucket_of(c.time);
+          if (b >= lo && b < hi) visit(b, runs[i].object, c);
+        }
+      }
+    };
+    // Exact reservations: no regrowth copies and no slack capacity.
+    std::vector<std::size_t> adds(hi - lo, 0);
+    each_own([&](std::size_t b, Index, const ChannelEvent&) { ++adds[b - lo]; });
+    for (std::size_t b = lo; b < hi; ++b) {
+      buckets_[b].events.reserve(buckets_[b].events.size() + adds[b - lo]);
+      buckets_[b].deltas.reserve(buckets_[b].deltas.size() + adds[b - lo]);
+    }
+    // Buckets left dirty by earlier appends, then the ones this fill
+    // dirties: disjoint, since a dirty bucket cannot go dirty again.
+    std::vector<std::uint32_t> unsorted;
+    for (const std::uint32_t b : dirty_) {
+      if (b >= lo && b < hi) unsorted.push_back(b);
+    }
+    each_own([&](std::size_t b, Index object, const ChannelEvent& c) {
+      if (append(buckets_[b], {c.time, object, c.delta, c.delta > 0})) {
+        unsorted.push_back(static_cast<std::uint32_t>(b));
+      }
+    });
+    for (const std::uint32_t b : unsorted) sort_bucket(buckets_[b]);
+  };
+  pool.run(0, static_cast<std::int64_t>(width), 1, static_cast<unsigned>(width), fill);
+  for (const Run& run : runs) {
+    events_ += static_cast<std::int64_t>(run.events.size());
+  }
+  dirty_.clear();
+  rebuild_tree();
 }
 
 void ChannelLedger::move_end(double old_end, double new_end, Index object) {
@@ -171,9 +248,7 @@ void ChannelLedger::move_end(double old_end, double new_end, Index object) {
   }
 }
 
-void ChannelLedger::ensure_sorted(std::size_t b) {
-  Bucket& bucket = buckets_[b];
-  if (bucket.sorted == bucket.events.size()) return;
+void ChannelLedger::sort_bucket(Bucket& bucket) {
   const auto mid = bucket.events.begin() + static_cast<std::ptrdiff_t>(bucket.sorted);
   std::sort(mid, bucket.events.end(), event_less);
   std::inplace_merge(bucket.events.begin(), mid, bucket.events.end(), event_less);
@@ -185,6 +260,12 @@ void ChannelLedger::ensure_sorted(std::size_t b) {
       util::simd::prefix_scan(bucket.deltas.data(), bucket.deltas.size(),
                               /*running=*/0, /*best=*/0)
           .best;
+}
+
+void ChannelLedger::ensure_sorted(std::size_t b) {
+  Bucket& bucket = buckets_[b];
+  if (bucket.sorted == bucket.events.size()) return;
+  sort_bucket(bucket);
   tree_update(b);
 }
 
@@ -259,7 +340,9 @@ Index ChannelLedger::max_over(double a, double b) {
     const std::size_t i = first_after(bucket.events, a);
     depth += util::simd::sum(bucket.deltas.data(), i);
     best = depth;
-    const std::size_t stop = ba == bb ? first_at_or_after(bucket.events, b)
+    // An empty window (a == b) with events at `a` would put the stop
+    // before `i`; it scans nothing and answers the occupancy at `a`.
+    const std::size_t stop = ba == bb ? std::max(i, first_at_or_after(bucket.events, b))
                                       : bucket.events.size();
     const auto scan = util::simd::prefix_scan(bucket.deltas.data() + i,
                                               stop - i, depth, best);
@@ -362,7 +445,7 @@ void ChannelLedger::restore(util::SnapshotReader& reader) {
   buckets_ = std::move(buckets);
   dirty_ = std::move(dirty32);
   events_ = events;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) tree_update(b);
+  rebuild_tree();
 }
 
 Index ChannelLedger::capacity_violations(Index capacity) {

@@ -36,10 +36,12 @@
 #include <vector>
 
 #include "fib/fibonacci.h"
+#include "schedule/channels.h"
 
 namespace smerge::util {
 class SnapshotReader;
 class SnapshotWriter;
+class ThreadPool;
 }  // namespace smerge::util
 
 namespace smerge::server {
@@ -77,6 +79,27 @@ class ChannelLedger {
   /// hands an object's whole difference run here, turning
   /// O(events · log B) tree work into O(buckets_touched · log B).
   void apply_batch(std::span<const LedgerEvent> batch);
+
+  /// One object's events as its recorder holds them: each +1 is a
+  /// stream start, each -1 an end, tagged with `object`.
+  struct Run {
+    Index object = 0;
+    std::span<const ChannelEvent> events;
+  };
+
+  /// End-of-run bulk fill over `parts` workers of `pool`. Worker p owns
+  /// a contiguous range of buckets: it walks the runs in place, in the
+  /// given order, appending only the events that land in its range, and
+  /// then sorts its unsorted buckets; one O(B) pass rebuilds the tree.
+  /// (A first pass notes where in each run each range's events lie, so
+  /// a worker reads little beyond its own events.)
+  /// Each bucket receives its events in the same order `apply_batch`
+  /// over the concatenated runs would give it, and `event_less` ties
+  /// only byte-identical events, so every bucket ends exactly as
+  /// `apply_batch` + `peak()` would leave it. The difference is the
+  /// dirty list: it is left empty and every bucket sorted, a state no
+  /// checkpoint may observe — so this is for finish(), never a drain.
+  void apply_runs(std::span<const Run> runs, util::ThreadPool& pool, unsigned parts);
 
   /// Moves a previously recorded interval's end (plan repair): appends
   /// the compensating difference pair — {new_end, -1}, {old_end, +1}
@@ -134,6 +157,15 @@ class ChannelLedger {
   };
 
   [[nodiscard]] std::size_t bucket_of(double t) const noexcept;
+  /// The one append behind push_event, apply_batch and apply_runs:
+  /// extends the bucket, its sorted cursor and its summaries. Returns
+  /// true when the bucket has just gained an unsorted tail, so the
+  /// caller records it as dirty. Leaves the tree alone.
+  static bool append(Bucket& bucket, const LedgerEvent& e);
+  /// The one bucket sort: merges the unsorted tail into the sorted
+  /// prefix (sorted tail + inplace_merge) and recomputes deltas and
+  /// max_prefix. Leaves the tree alone.
+  static void sort_bucket(Bucket& bucket);
   void push_event(const LedgerEvent& e);
   void ensure_sorted(std::size_t b);
   void flush();
@@ -143,6 +175,9 @@ class ChannelLedger {
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> combine_range(
       std::size_t lo, std::size_t hi) const noexcept;
   void tree_update(std::size_t b) noexcept;
+  /// Recomputes every tree node from the bucket summaries, O(B).
+  void rebuild_tree() noexcept;
+  void pull(std::size_t node) noexcept;
 
   double width_;
   std::vector<Bucket> buckets_;

@@ -409,26 +409,20 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
 
 // --- Incremental folding ----------------------------------------------------
 
-void ServerCore::flush_object(Index m) {
-  ObjectState& state = *impl_->objects[index_of(m)];
-  // Stage the object's whole ±1 run and hand it to the ledger in one
-  // apply_batch — one segment-tree path per touched bucket instead of
-  // one per event. The cost accumulation stays per-pair inside the loop
-  // so the float fold order (and thus every snapshot byte) is unchanged.
-  std::vector<LedgerEvent>& batch = impl_->ledger_batch;
-  batch.clear();
-  for (std::size_t i = state.flushed_events; i + 1 < state.events.size(); i += 2) {
+std::span<const ChannelEvent> ServerCore::fold_object(ObjectState& state) {
+  // Cost accumulates per pair, in emission order, so the float fold
+  // order (and thus every snapshot byte) never depends on how the
+  // ledger is filled.
+  const std::size_t from = state.flushed_events;
+  for (std::size_t i = from; i + 1 < state.events.size(); i += 2) {
     const double start = state.events[i].time;
     const double end = state.events[i + 1].time;
     if (!(start >= 0.0) || !(end >= start)) {
       throw std::invalid_argument("ChannelLedger: bad interval");
     }
-    batch.push_back({start, state.id, +1, true});
-    batch.push_back({end, state.id, -1, false});
     impl_->cost += end - start;
     ++impl_->streams;
   }
-  impl_->ledger.apply_batch(batch);
   state.flushed_events = state.events.size();
   for (std::size_t i = state.flushed_waits; i < state.waits.size(); ++i) {
     const double w = state.waits[i];
@@ -442,6 +436,22 @@ void ServerCore::flush_object(Index m) {
   }
   state.flushed_waits = state.waits.size();
   state.dirty = false;
+  return std::span<const ChannelEvent>(state.events).subspan(from);
+}
+
+void ServerCore::flush_object(Index m) {
+  ObjectState& state = *impl_->objects[index_of(m)];
+  const std::span<const ChannelEvent> fresh = fold_object(state);
+  // Stage the object's whole ±1 run and hand it to the ledger in one
+  // apply_batch — one segment-tree path per touched bucket instead of
+  // one per event.
+  std::vector<LedgerEvent>& batch = impl_->ledger_batch;
+  batch.clear();
+  for (std::size_t i = 0; i + 1 < fresh.size(); i += 2) {
+    batch.push_back({fresh[i].time, state.id, +1, true});
+    batch.push_back({fresh[i + 1].time, state.id, -1, false});
+  }
+  impl_->ledger.apply_batch(batch);
 }
 
 void ServerCore::epilogue(std::span<const Index> objects) {
@@ -1101,12 +1111,7 @@ void ServerCore::finish() {
     }
   }
 
-  // The finish fan-outs go to the pinned pool when the drains did, so
-  // an object's final flush runs on the core that owns its shard's
-  // cache lines.
-  util::ThreadPool& pool = config_.pin_workers
-                               ? util::ThreadPool::shared_pinned()
-                               : util::ThreadPool::shared();
+  util::ThreadPool& pool = fan_out_pool();
   const auto n = static_cast<std::int64_t>(config_.objects);
   if (config_.serve == ServeMode::kPolicy) {
     // Horizon flush: fixed schedules (DG) and late-resolving
@@ -1127,12 +1132,18 @@ void ServerCore::finish() {
     for (auto& state : impl_->objects) dg_emit_through(*state, slots - 1);
   }
 
-  util::MonotonicArena& arena = util::thread_arena();
-  const util::ArenaScope scope(arena);
-  util::ArenaVector<Index> all{util::ArenaAllocator<Index>(arena)};
-  all.resize(index_of(config_.objects));
-  for (Index m = 0; m < config_.objects; ++m) all[index_of(m)] = m;
-  epilogue({all.data(), all.size()});
+  // The finish epilogue: the drain's serial fold (cost, stream count,
+  // leftover P² feeds, interval checks) in object-id order, but the
+  // ledger fill partitioned by bucket range over the pool. A drain
+  // must keep the serial apply_batch, whose insertion and dirty-list
+  // order the checkpoint bytes record; no checkpoint may follow
+  // finish(), so only here may the ledger be left fully sorted.
+  std::vector<ChannelLedger::Run> runs;
+  runs.reserve(impl_->objects.size());
+  for (const auto& state : impl_->objects) {
+    runs.push_back({state->id, fold_object(*state)});
+  }
+  impl_->ledger.apply_runs(runs, pool, config_.shards);
 
   // Per-object finalization: the object's own channel peak (sorts its
   // events — safe now, the ledger has its own copy), the canonical
@@ -1228,18 +1239,10 @@ void ServerCore::finish() {
   }
 
   if (total_waits > 0) {
-    std::vector<double> all_waits;
-    all_waits.reserve(total_waits);
     double wait_sum = 0.0;
-    for (const auto& state : impl_->objects) {
-      all_waits.insert(all_waits.end(), state->waits.begin(), state->waits.end());
-      wait_sum += state->wait_sum;
-    }
-    std::sort(all_waits.begin(), all_waits.end());
+    for (const auto& state : impl_->objects) wait_sum += state->wait_sum;
     snap.wait.mean = wait_sum / static_cast<double>(total_waits);
-    snap.wait.p50 = util::quantile_sorted(all_waits, 0.50);
-    snap.wait.p95 = util::quantile_sorted(all_waits, 0.95);
-    snap.wait.p99 = util::quantile_sorted(all_waits, 0.99);
+    exact_percentiles(snap.wait);
   }
   impl_->finished = true;
 }
@@ -1307,18 +1310,30 @@ util::DelayProfile ServerCore::wait_profile(bool exact) {
     profile.p99 = impl_->p99.estimate();
     return profile;
   }
-  std::vector<double> all;
-  all.reserve(static_cast<std::size_t>(impl_->wait_count));
-  for (const auto& state : impl_->objects) {
-    all.insert(all.end(), state->waits.begin(),
-               state->waits.begin() +
-                   static_cast<std::ptrdiff_t>(state->flushed_waits));
-  }
-  std::sort(all.begin(), all.end());
-  profile.p50 = util::quantile_sorted(all, 0.50);
-  profile.p95 = util::quantile_sorted(all, 0.95);
-  profile.p99 = util::quantile_sorted(all, 0.99);
+  exact_percentiles(profile);
   return profile;
+}
+
+void ServerCore::exact_percentiles(util::DelayProfile& profile) const {
+  std::vector<std::span<const double>> waits;
+  waits.reserve(impl_->objects.size());
+  for (const auto& state : impl_->objects) {
+    waits.emplace_back(state->waits.data(), state->flushed_waits);
+  }
+  static constexpr double kRanks[] = {0.50, 0.95, 0.99};
+  const std::vector<double> q =
+      util::nearest_rank_quantiles(waits, kRanks, fan_out_pool(), config_.shards);
+  profile.p50 = q[0];
+  profile.p95 = q[1];
+  profile.p99 = q[2];
+}
+
+util::ThreadPool& ServerCore::fan_out_pool() const {
+  // Fan-outs outside drain() (finish, exact percentiles) use the pinned
+  // pool when the drains do, so an object's final flush runs on the
+  // core that owns its shard's cache lines.
+  return config_.pin_workers ? util::ThreadPool::shared_pinned()
+                             : util::ThreadPool::shared();
 }
 
 double ServerCore::object_cost(Index object) const {

@@ -49,6 +49,10 @@
 #include "server/channel_ledger.h"
 #include "util/stats.h"
 
+namespace smerge::util {
+class ThreadPool;
+}  // namespace smerge::util
+
 namespace smerge::server {
 
 /// What happens when an admission's stream does not fit the channel
@@ -317,8 +321,9 @@ class ServerCore {
   [[nodiscard]] Index current_channels(double t);
   /// Peak channels so far.
   [[nodiscard]] Index peak_channels();
-  /// Wait distribution: `exact` sorts all waits recorded so far
-  /// (O(n log n)); otherwise returns the O(1) P² running estimates.
+  /// Wait distribution: `exact` selects the nearest-rank percentiles
+  /// over all waits recorded so far (O(n)); otherwise returns the O(1)
+  /// P² running estimates.
   [[nodiscard]] util::DelayProfile wait_profile(bool exact);
   /// Media units transmitted by one object so far.
   [[nodiscard]] double object_cost(Index object) const;
@@ -411,7 +416,10 @@ class ServerCore {
   void process_object(ObjectState& state);
   void resolve_sessions(ObjectState& state);
   void repair_object_plan(ObjectState& state);
+  std::span<const ChannelEvent> fold_object(ObjectState& state);
   void flush_object(Index object);
+  void exact_percentiles(util::DelayProfile& profile) const;
+  [[nodiscard]] util::ThreadPool& fan_out_pool() const;
   void epilogue(std::span<const Index> objects);
   void dg_emit_through(ObjectState& state, Index slot);
   bool slot_stream_fits(double start, double duration);

@@ -5,9 +5,12 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace smerge::util {
+
+class ThreadPool;
 
 /// Accumulates min/max/mean/variance in a single pass (Welford's method),
 /// numerically stable for long simulation runs.
@@ -48,6 +51,27 @@ class RunningStats {
 /// requires q in [0, 1].
 [[nodiscard]] double quantile_sorted(const std::vector<double>& sorted, double q);
 
+/// The same nearest-rank quantiles without a full sort: one
+/// `nth_element` per distinct rank, each on the suffix the previous
+/// selection left (O(n) expected overall). Entry i of the result equals
+/// `quantile_sorted(sorted(values), qs[i])` exactly. `qs` must be
+/// ascending, each in [0, 1]; `values` is permuted. An empty `values`
+/// yields all zeros.
+[[nodiscard]] std::vector<double> nearest_rank_quantiles(
+    std::vector<double>& values, std::span<const double> qs);
+
+/// The same quantiles over values spread across `sources`, without
+/// gathering them: parallel passes over `pool` (at most `threads`
+/// participants) find the range, histogram the values into equal-width
+/// bins, and collect only the bins that hold a wanted rank, which are
+/// then selected from as above. Exact: the bin map is monotone, so a
+/// rank's value always lies in the bin where the running count passes
+/// it. Values must not be NaN; a range too wide for the bin arithmetic
+/// falls back to gathering everything.
+[[nodiscard]] std::vector<double> nearest_rank_quantiles(
+    std::span<const std::span<const double>> sources, std::span<const double> qs,
+    ThreadPool& pool, unsigned threads);
+
 /// The complete state of a `P2Quantile` estimator — every marker, so a
 /// restored estimator continues bit-identically from where the saved
 /// one stopped. Two states compare equal iff every field (including
@@ -68,7 +92,7 @@ struct P2State {
 /// Chlamtac, 1985): five markers track the q-quantile of a stream in
 /// O(1) memory and O(1) per observation, without retaining samples.
 /// The estimate converges to the true quantile for stationary streams;
-/// exact answers stay available from `quantile_sorted` when the caller
+/// exact answers stay available from `nearest_rank_quantiles` when the caller
 /// retains the samples — the hybrid the serving runtime uses for live
 /// (P²) vs end-of-run (exact) delay percentiles.
 class P2Quantile {

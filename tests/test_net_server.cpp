@@ -7,11 +7,15 @@
 // same port, and transport failures (double bind, garbage bytes,
 // per-connection contract violations) must stay contained to their
 // connection.
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -374,6 +378,77 @@ TEST(NetServer, StopWithoutFinishIsClean) {
   EXPECT_FALSE(server.finished());
   EXPECT_THROW((void)server.summary(), std::logic_error);
   server.stop();  // open connection + posted admit: still clean
+}
+
+// Read-pause recovery. A client that stops reading its tickets pushes
+// the server past a tiny write watermark, so the server pauses reading
+// the connection. Once the client reads again, whichever path empties
+// the output buffer — the EPOLLOUT handler or the ticket flush after a
+// drain — must resume reading, or the rest of the admissions are never
+// decoded and never ticketed. Which path wins is a race, so this run
+// cannot force the flush path; it checks that the pause, once taken,
+// always ends.
+TEST(NetServer, PausedReaderResumesAndGetsEveryTicket) {
+  constexpr std::uint64_t kAdmits = 50000;
+  constexpr Index kObjects = 8;
+  BatchingPolicy policy;
+  NetServerConfig net;
+  net.reactors = 1;
+  net.drain_interval_us = 100;
+  net.write_high_watermark = 64;
+  NetServer server(net, core_config(kObjects, 1), policy);
+  server.start();
+  FdHandle fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(fd.valid());
+  // Small socket buffers, set before connect, so tickets back up into
+  // the server's output buffer quickly.
+  const int window = 4096;
+  ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &window, sizeof window), 0);
+  ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &window, sizeof window), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+
+  std::thread sender([&] {
+    std::vector<std::uint8_t> out;
+    for (std::uint64_t k = 0; k < kAdmits; ++k) {
+      append_admit(out, k + 1, static_cast<std::int64_t>(k % kObjects),
+                   static_cast<double>(k) * 1e-4);
+    }
+    std::size_t at = 0;
+    while (at < out.size()) {
+      const auto n = ::send(fd.get(), out.data() + at,
+                            std::min<std::size_t>(out.size() - at, 1024), MSG_NOSIGNAL);
+      if (n <= 0) return;  // the reader gave up and shut the socket down
+      at += static_cast<std::size_t>(n);
+    }
+  });
+
+  FrameDecoder decoder;
+  std::uint64_t tickets = 0;
+  std::uint8_t buf[1 << 16];
+  // Stop reading long enough for the tickets to back up past the
+  // watermark, then read everything.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  while (tickets < kAdmits) {
+    pollfd p{fd.get(), POLLIN, 0};
+    if (::poll(&p, 1, 5000) <= 0) break;  // no ticket for 5 s: stalled
+    const auto n = ::recv(fd.get(), buf, sizeof buf, 0);
+    if (n <= 0) break;
+    decoder.feed({buf, static_cast<std::size_t>(n)});
+    Frame frame;
+    while (decoder.next_frame(frame)) {
+      if (frame.type == RecordType::kTicket) ++tickets;
+    }
+  }
+  EXPECT_EQ(tickets, kAdmits);
+  ::shutdown(fd.get(), SHUT_RDWR);
+  sender.join();
+  fd.reset();
+  server.stop();
 }
 
 TEST(NetServer, ConfigValidation) {

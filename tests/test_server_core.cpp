@@ -9,12 +9,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "online/server.h"
 #include "server/channel_ledger.h"
+#include "server/wire.h"
 #include "sim/engine.h"
+#include "sim/workload.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -540,6 +545,129 @@ TEST(ServerCore, Validation) {
   ServerCore generic(config, policy);
   EXPECT_THROW((void)generic.take_snapshot(), std::logic_error);
   EXPECT_THROW((void)generic.dg_policy(), std::logic_error);
+}
+
+// --- The finish oracle, pinned ----------------------------------------------
+
+// Small fixed runs whose snapshot digests were recorded before finish()
+// gained its bucket-partitioned ledger fill and selection-based
+// quantiles. Every shard width, pinned or floating, must still land on
+// the same bytes: the fold order, the ledger's canonical event order and
+// the nearest-rank percentiles are unchanged.
+enum class PinnedRun { kGreedyBatched, kDgPolicy, kSlottedDg, kSessions };
+
+sim::WorkloadConfig pinned_workload() {
+  sim::WorkloadConfig workload;
+  workload.objects = 24;
+  workload.zipf_exponent = 1.0;
+  workload.mean_gap = 0.002;
+  workload.horizon = 4.0;
+  workload.seed = 29;
+  return workload;
+}
+
+Snapshot pinned_snapshot(PinnedRun run, unsigned shards, bool pin) {
+  const sim::WorkloadConfig workload = pinned_workload();
+  const std::vector<double> weights =
+      sim::zipf_weights(workload.objects, workload.zipf_exponent);
+  ServerCoreConfig config;
+  config.objects = workload.objects;
+  config.delay = 0.02;
+  config.horizon = workload.horizon;
+  config.shards = shards;
+  config.pin_workers = pin;
+  GreedyMergePolicy greedy(merging::DyadicParams{}, /*batched=*/true);
+  DelayGuaranteedPolicy dg;
+  std::unique_ptr<ServerCore> core;
+  switch (run) {
+    case PinnedRun::kGreedyBatched:
+      config.channel_capacity = 6;  // observe mode: counts saturated starts
+      core = std::make_unique<ServerCore>(config, greedy);
+      break;
+    case PinnedRun::kDgPolicy:
+      core = std::make_unique<ServerCore>(config, dg);
+      break;
+    case PinnedRun::kSlottedDg:
+      config.serve = ServeMode::kSlottedDg;
+      core = std::make_unique<ServerCore>(config);
+      break;
+    case PinnedRun::kSessions:
+      config.enable_sessions = true;
+      core = std::make_unique<ServerCore>(config, greedy);
+      break;
+  }
+  if (run == PinnedRun::kSlottedDg) {
+    // The serial live path, in global arrival order.
+    std::vector<std::pair<double, Index>> order;
+    for (Index m = 0; m < workload.objects; ++m) {
+      for (const double t : sim::generate_arrivals(
+               workload, m, weights[static_cast<std::size_t>(m)])) {
+        order.emplace_back(t, m);
+      }
+    }
+    std::sort(order.begin(), order.end());
+    for (const auto& [t, m] : order) (void)core->admit(m, t);
+  } else if (run == PinnedRun::kSessions) {
+    sim::SessionChurnConfig churn;
+    churn.abandon_rate = 0.25;
+    churn.pause_rate = 0.15;
+    churn.seek_rate = 0.1;
+    for (Index m = 0; m < workload.objects; ++m) {
+      core->ingest_session_trace(
+          m, sim::generate_sessions(workload, churn, m,
+                                    weights[static_cast<std::size_t>(m)]));
+    }
+  } else {
+    // Three waves: the first two end in live queries (a flushed,
+    // sorted ledger), the last leaves its buckets dirty for finish().
+    for (int wave = 0; wave < 3; ++wave) {
+      const double lo = workload.horizon * wave / 3.0;
+      const double hi = workload.horizon * (wave + 1) / 3.0;
+      for (Index m = 0; m < workload.objects; ++m) {
+        std::vector<double> slice;
+        for (const double t : sim::generate_arrivals(
+                 workload, m, weights[static_cast<std::size_t>(m)])) {
+          if (t >= lo && (t < hi || wave == 2)) slice.push_back(t);
+        }
+        core->ingest_trace(m, std::move(slice));
+      }
+      core->drain();
+      if (wave < 2) (void)core->live_stats();
+    }
+  }
+  core->finish();
+  return core->take_snapshot();
+}
+
+TEST(ServerCore, FinishDigestsArePinned) {
+  const struct {
+    PinnedRun run;
+    const char* name;
+    std::uint64_t digest;
+  } cases[] = {
+      {PinnedRun::kGreedyBatched, "greedy-batched", 0xcc4f567a182347d6ull},
+      {PinnedRun::kDgPolicy, "dg-policy", 0xb3721ed08361dab0ull},
+      {PinnedRun::kSlottedDg, "slotted-dg", 0xd02747c7c9161e9cull},
+      {PinnedRun::kSessions, "sessions", 0xe3a2656da12601abull},
+  };
+  for (const auto& c : cases) {
+    for (const unsigned shards : {1u, 2u, 4u}) {
+      for (const bool pin : {false, true}) {
+        SCOPED_TRACE(std::string(c.name) + " shards=" + std::to_string(shards) +
+                     " pin=" + (pin ? "on" : "off"));
+        const Snapshot snap = pinned_snapshot(c.run, shards, pin);
+        EXPECT_EQ(snapshot_digest(snap), c.digest);
+        // Each run exercises the path it pins.
+        if (c.run == PinnedRun::kGreedyBatched) {
+          EXPECT_GT(snap.capacity_violations, 0);
+        }
+        if (c.run == PinnedRun::kSessions) {
+          EXPECT_GT(snap.plan_truncations, 0);
+          EXPECT_GT(snap.plan_reroots, 0);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cli.h"
@@ -13,6 +16,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace smerge::util {
 namespace {
@@ -262,6 +266,106 @@ TEST(QuantileSorted, NearestRankConventions) {
   EXPECT_DOUBLE_EQ(quantile_sorted(values, 1.0), 5.0);
   EXPECT_DOUBLE_EQ(quantile_sorted({}, 0.5), 0.0);
   EXPECT_THROW((void)quantile_sorted(values, 1.5), std::invalid_argument);
+}
+
+TEST(NearestRankQuantiles, MatchesSortedOnHeavyDuplicates) {
+  const std::vector<double> qs{0.5, 0.95, 0.99, 1.0};
+  SplitMix64 rng(2024);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 100u, 1000u, 4099u}) {
+    for (const std::uint64_t distinct : {1u, 3u, 17u, 1000000u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " distinct=" + std::to_string(distinct));
+      std::vector<double> values(n);
+      // Few distinct values make long runs of ties around every rank.
+      for (double& v : values) {
+        v = 0.01 * static_cast<double>(rng.next() % distinct);
+      }
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const std::vector<double> got = nearest_rank_quantiles(values, qs);
+      ASSERT_EQ(got.size(), qs.size());
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(got[i], quantile_sorted(sorted, qs[i])) << "q=" << qs[i];
+      }
+      // A permutation: nothing lost or duplicated.
+      std::sort(values.begin(), values.end());
+      EXPECT_EQ(values, sorted);
+    }
+  }
+}
+
+TEST(NearestRankQuantiles, EdgeCasesAndValidation) {
+  std::vector<double> one{4.0};
+  const double all[] = {0.0, 0.5, 1.0};
+  EXPECT_EQ(nearest_rank_quantiles(one, all),
+            (std::vector<double>{4.0, 4.0, 4.0}));
+  std::vector<double> two{9.0, 1.0};
+  EXPECT_EQ(nearest_rank_quantiles(two, all),
+            (std::vector<double>{1.0, 1.0, 9.0}));
+  std::vector<double> empty;
+  EXPECT_EQ(nearest_rank_quantiles(empty, all),
+            (std::vector<double>{0.0, 0.0, 0.0}));
+  const double repeated[] = {0.5, 0.5};
+  std::vector<double> values{5.0, 1.0, 4.0, 2.0, 3.0};
+  EXPECT_EQ(nearest_rank_quantiles(values, repeated),
+            (std::vector<double>{3.0, 3.0}));
+  const double descending[] = {0.9, 0.5};
+  EXPECT_THROW((void)nearest_rank_quantiles(values, descending),
+               std::invalid_argument);
+  const double out_of_range[] = {1.5};
+  EXPECT_THROW((void)nearest_rank_quantiles(values, out_of_range),
+               std::invalid_argument);
+}
+
+TEST(NearestRankQuantiles, SpreadSourcesMatchSorted) {
+  const std::vector<double> qs{0.0, 0.5, 0.95, 0.99, 1.0};
+  ThreadPool pool(3);
+  SplitMix64 rng(77);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 50u, 20000u, 100003u}) {
+    for (const std::uint64_t distinct : {1u, 2u, 17u, 1000000000u}) {
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " distinct=" +
+                     std::to_string(distinct) + " threads=" + std::to_string(threads));
+        // Uneven sources, some empty, holding n values between them.
+        std::vector<std::vector<double>> store;
+        std::size_t left = n;
+        while (left > 0) {
+          const std::size_t take = std::min<std::size_t>(left, rng.next() % 900);
+          std::vector<double> source(take);
+          for (double& v : source) {
+            v = 1e-3 * static_cast<double>(rng.next() % distinct) - 0.25;
+          }
+          store.push_back(std::move(source));
+          left -= take;
+        }
+        std::vector<std::span<const double>> sources(store.begin(), store.end());
+        std::vector<double> sorted;
+        for (const auto& source : store) {
+          sorted.insert(sorted.end(), source.begin(), source.end());
+        }
+        std::sort(sorted.begin(), sorted.end());
+        const std::vector<double> got =
+            nearest_rank_quantiles(sources, qs, pool, threads);
+        ASSERT_EQ(got.size(), qs.size());
+        for (std::size_t i = 0; i < qs.size(); ++i) {
+          EXPECT_EQ(got[i], quantile_sorted(sorted, qs[i])) << "q=" << qs[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(NearestRankQuantiles, SpreadSourcesWithExtremeRange) {
+  ThreadPool pool(2);
+  const std::vector<double> a{1e308, -1e308, 0.0};
+  const std::vector<double> b{5.0, -5.0};
+  const std::vector<std::span<const double>> sources{a, b};
+  const double qs[] = {0.2, 0.5, 1.0};
+  EXPECT_EQ(nearest_rank_quantiles(sources, qs, pool, 2),
+            (std::vector<double>{-1e308, 0.0, 1e308}));
+  const double descending[] = {0.9, 0.5};
+  EXPECT_THROW((void)nearest_rank_quantiles(sources, descending, pool, 2),
+               std::invalid_argument);
 }
 
 }  // namespace
