@@ -60,7 +60,6 @@
 #include "util/cli.h"
 #include "util/simd.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -129,12 +128,6 @@ int main(int argc, char** argv) {
   args.add_double("seek-rate", 0.0, "P(session seeks once); needs --sessions");
   args.add_int("seed", 42, "workload RNG seed");
   args.add_int("live-every", 4, "live stats printouts per run");
-  args.add_bool("pin", false,
-                "pin the shard drain workers to cores (policy path only; "
-                "pure mechanism, results never change)");
-  args.add_bool("no-simd", false,
-                "force the scalar ledger kernels (disable the SIMD runtime "
-                "dispatch; pure mechanism, results never change)");
   args.add_string("fault", "none",
                   "fault spec crash@K[,torn=N][,corrupt=I][,drop=P]: run the "
                   "deterministic crash/recovery harness (policy path only)");
@@ -204,11 +197,6 @@ int main(int argc, char** argv) {
           "--fault drives the policy path through the crash/recovery "
           "harness; drop --capacity");
     }
-    if (args.get_bool("pin") && capacity > 0) {
-      throw std::invalid_argument(
-          "the capacity path is serial — there are no shard workers to "
-          "pin; drop --pin");
-    }
     const bool listen = args.get_bool("listen");
     for (const char* flag : {"bind", "port", "reactors", "drain-us"}) {
       if (args.provided(flag) && !listen) {
@@ -250,8 +238,6 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("--port must be in [0, 65535]");
       }
     }
-    if (args.get_bool("no-simd")) util::simd::force_scalar(true);
-    const bool pin = args.get_bool("pin");
     const int checkpoints = static_cast<int>(args.get_int("live-every"));
     const unsigned shards = static_cast<unsigned>(args.get_int("shards"));
 
@@ -266,7 +252,6 @@ int main(int argc, char** argv) {
       config.delay = delay;
       config.horizon = workload.horizon;
       config.shards = shards;
-      config.pin_workers = pin;
       net::NetServerConfig net;
       net.host = args.get_string("bind");
       net.port = static_cast<std::uint16_t>(args.get_int("port"));
@@ -324,7 +309,6 @@ int main(int argc, char** argv) {
       engine.workload = workload;
       engine.delay = delay;
       engine.threads = shards;
-      engine.pin_workers = pin;
       engine.churn = churn;
       std::unique_ptr<OnlinePolicy> policy =
           make_policy(args.get_string("policy"));
@@ -441,23 +425,15 @@ int main(int argc, char** argv) {
       config.delay = delay;
       config.horizon = workload.horizon;
       config.shards = shards;
-      config.pin_workers = pin;
       config.enable_sessions = churn.enabled();
       core = std::make_unique<server::ServerCore>(config, *policy);
       std::cout << "policy path: " << policy->name() << ", " << workload.objects
                 << " objects over " << config.shards << " shards, delay "
                 << delay;
-      // The hot-path dispatch decisions, so a log line records which
-      // mechanisms this run actually exercised.
-      std::cout << "\nhot path: admit dispatch " << core->admit_dispatch()
-                << ", ledger kernel " << util::simd::active_kernel() << " ("
-                << util::simd::lanes() << " lanes)";
-      if (pin) {
-        std::cout << ", pinned("
-                  << util::ThreadPool::shared_pinned().pinned_workers() << ")";
-      } else {
-        std::cout << ", floating workers";
-      }
+      // The ledger kernel the SIMD dispatcher picked, so a log line
+      // records which one this run exercised.
+      std::cout << "\nhot path: ledger kernel " << util::simd::active_kernel()
+                << " (" << util::simd::lanes() << " lanes)";
       if (churn.enabled()) {
         std::cout << ", churn abandon/pause/seek " << churn.abandon_rate << "/"
                   << churn.pause_rate << "/" << churn.seek_rate;

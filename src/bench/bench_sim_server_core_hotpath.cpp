@@ -20,22 +20,11 @@
 //  * a deliberately tiny ring (forcing the overflow-spill path under
 //    load) still lands on the identical snapshot: spilling reorders
 //    nothing observable.
-//
-// PR-9 adds the variant matrix: the same producers=2 load through every
-// hot-path mechanism combination — generic virtual dispatch vs the
-// sealed slot fast path, scalar vs SIMD ledger kernels, floating vs
-// core-pinned static drain scheduling — reporting per-variant
-// throughput and a serial-admit burst p99 (where the devirtualized
-// delivery actually shows), plus an untimed deterministic-cadence
-// checkpoint pass asserting byte-identity against the generic/scalar
-// serial reference.
 #include "bench/registry.h"
 #include "online/policy.h"
 #include "sim/engine.h"
 #include "util/parallel.h"
-#include "util/simd.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 #include <algorithm>
 #include <atomic>
@@ -119,42 +108,18 @@ HotpathRow run_baseline(const EngineConfig& config,
   return row;
 }
 
-/// One hot-path mechanism combination (the PR-9 variant matrix).
-struct VariantSpec {
-  const char* label;
-  bool fast = false;  ///< sealed slot admit vs generic virtual dispatch
-  bool simd = false;  ///< vector ledger kernels vs forced scalar
-  bool pin = false;   ///< core-pinned static drain pool vs floating
-};
-
-constexpr VariantSpec kVariantSpecs[] = {
-    {"generic", false, false, false},
-    {"fast", true, false, false},
-    {"fast_simd", true, true, false},
-    {"fast_simd_pin", true, true, true},
-};
-
-/// Scoped scalar-kernel override (force_scalar is process-global).
-struct ScalarGuard {
-  explicit ScalarGuard(bool scalar) { util::simd::force_scalar(scalar); }
-  ~ScalarGuard() { util::simd::force_scalar(false); }
-};
-
 /// Concurrent run: `producers` threads publish through post() (objects
 /// partitioned round-robin, so every object keeps a single producer)
 /// while the caller's thread claims rings in a continuous drain loop.
 HotpathRow run_posted(const EngineConfig& config,
                       const std::vector<std::vector<double>>& traces,
-                      unsigned producers, Index mailbox_capacity,
-                      bool fast_path = true, bool pin = false) {
+                      unsigned producers, Index mailbox_capacity) {
   HotpathRow row;
   row.producers = producers;
   BatchingPolicy policy;
   auto core_cfg = core_config(config);
   core_cfg.shards = producers;
   core_cfg.mailbox_capacity = mailbox_capacity;
-  core_cfg.fast_path = fast_path;
-  core_cfg.pin_workers = pin;
   server::ServerCore core(core_cfg, policy);
 
   std::vector<std::vector<double>> samples(producers);
@@ -219,118 +184,6 @@ bool snapshots_match(const server::Snapshot& a, const server::Snapshot& b) {
          a.wait.p99 == b.wait.p99 && a.per_object == b.per_object;
 }
 
-/// Serial-admit burst sampling: the sealed fast path saves its virtual
-/// hops at delivery time, which post() never touches — so per-admission
-/// cost is measured on the live admit() path. Every 2^7th admission a
-/// burst of 8 calls shares one clock pair (amortizing timer overhead
-/// below the ~20ns effect being measured), and every 2^16th admission
-/// issues untimed live channel queries so the SIMD ledger scans run
-/// against a growing ledger mid-phase.
-double admit_phase_p99(const EngineConfig& config,
-                       const std::vector<std::vector<double>>& traces,
-                       bool fast_path, bool pin, std::uint64_t max_arrivals,
-                       const char** dispatch) {
-  BatchingPolicy policy;
-  auto core_cfg = core_config(config);
-  core_cfg.shards = 1;
-  core_cfg.fast_path = fast_path;
-  core_cfg.pin_workers = pin;
-  server::ServerCore core(core_cfg, policy);
-  *dispatch = core.admit_dispatch();
-  std::vector<double> samples;
-  std::uint64_t admitted = 0;
-  for (std::size_t m = 0; m < traces.size() && admitted < max_arrivals; ++m) {
-    const auto object = static_cast<Index>(m);
-    const std::vector<double>& trace = traces[m];
-    std::size_t k = 0;
-    while (k < trace.size() && admitted < max_arrivals) {
-      if ((admitted & kSampleMask) == 0 && k + 8 <= trace.size()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t j = 0; j < 8; ++j) {
-          (void)core.admit(object, trace[k + j]);
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        samples.push_back(
-            std::chrono::duration<double, std::nano>(t1 - t0).count() / 8.0);
-        k += 8;
-        admitted += 8;
-      } else {
-        (void)core.admit(object, trace[k]);
-        ++k;
-        ++admitted;
-      }
-      if ((admitted & 0xFFFF) == 0) {
-        (void)core.peak_channels();
-        (void)core.current_channels(trace[k - 1]);
-      }
-    }
-  }
-  std::sort(samples.begin(), samples.end());
-  if (samples.empty()) return 0.0;
-  return samples[static_cast<std::size_t>(
-      0.99 * static_cast<double>(samples.size() - 1))];
-}
-
-/// The deterministic-cadence identity pass: checkpoint bytes include
-/// the P2 percentile marker state, which folds in drain order — so
-/// byte-compares fix the cadence (kIdentityWaves waves, drain after
-/// each) and vary only the mechanism under test. The reference is the
-/// serial generic/scalar/floating ingest_trace run at the same shard
-/// width (the config echo serializes `shards`).
-constexpr std::size_t kIdentityWaves = 4;
-constexpr unsigned kIdentityShards = 2;
-
-std::vector<std::pair<std::size_t, std::size_t>> wave_bounds(std::size_t n) {
-  std::vector<std::pair<std::size_t, std::size_t>> bounds;
-  for (std::size_t w = 0; w < kIdentityWaves; ++w) {
-    bounds.emplace_back(w * n / kIdentityWaves, (w + 1) * n / kIdentityWaves);
-  }
-  return bounds;
-}
-
-std::vector<std::uint8_t> identity_reference(
-    const EngineConfig& config, const std::vector<std::vector<double>>& traces) {
-  const ScalarGuard guard(true);
-  BatchingPolicy policy;
-  auto core_cfg = core_config(config);
-  core_cfg.shards = kIdentityShards;
-  core_cfg.fast_path = false;
-  server::ServerCore core(core_cfg, policy);
-  for (std::size_t w = 0; w < kIdentityWaves; ++w) {
-    for (std::size_t m = 0; m < traces.size(); ++m) {
-      const auto [lo, hi] = wave_bounds(traces[m].size())[w];
-      core.ingest_trace(static_cast<Index>(m),
-                        {traces[m].begin() + static_cast<std::ptrdiff_t>(lo),
-                         traces[m].begin() + static_cast<std::ptrdiff_t>(hi)});
-    }
-    core.drain();
-  }
-  return core.checkpoint();
-}
-
-bool identity_matches(const EngineConfig& config,
-                      const std::vector<std::vector<double>>& traces,
-                      const VariantSpec& v,
-                      const std::vector<std::uint8_t>& reference) {
-  const ScalarGuard guard(!v.simd);
-  BatchingPolicy policy;
-  auto core_cfg = core_config(config);
-  core_cfg.shards = kIdentityShards;
-  core_cfg.fast_path = v.fast;
-  core_cfg.pin_workers = v.pin;
-  server::ServerCore core(core_cfg, policy);
-  for (std::size_t w = 0; w < kIdentityWaves; ++w) {
-    for (std::size_t m = 0; m < traces.size(); ++m) {
-      const auto [lo, hi] = wave_bounds(traces[m].size())[w];
-      for (std::size_t k = lo; k < hi; ++k) {
-        core.post(static_cast<Index>(m), traces[m][k]);
-      }
-    }
-    core.drain();
-  }
-  return core.checkpoint() == reference;
-}
-
 }  // namespace
 
 SMERGE_BENCH(sim_server_core_hotpath,
@@ -338,12 +191,9 @@ SMERGE_BENCH(sim_server_core_hotpath,
              "producers vs the serial ingest_trace baseline, identical "
              "snapshots at every producer count (including a tiny ring "
              "that forces overflow spill), aggregate arrivals/s, sampled "
-             "p99 per-admission ns, and the {generic, fast, fast_simd, "
-             "fast_simd_pin} variant matrix with deterministic-cadence "
-             "checkpoint byte-identity",
+             "p99 per-admission ns",
              "producers", "arrivals", "arrivals_per_s", "p99_admission_ns",
-             "baseline_arrivals_per_s", "variant_arrivals_per_s",
-             "variant_p99_admission_ns") {
+             "baseline_arrivals_per_s") {
   bench::BenchResult result;
   const EngineConfig config = hotpath_config(ctx);
   const std::vector<std::vector<double>> traces = make_traces(config, ctx.threads);
@@ -381,14 +231,12 @@ SMERGE_BENCH(sim_server_core_hotpath,
                          "p99 post ns", "core ms", "vs baseline"});
 
   for (const unsigned producers : producer_counts) {
-    HotpathRow row = run_posted(config, traces, producers,
-                                /*mailbox_capacity=*/0,
-                                /*fast_path=*/true, ctx.pin);
+    HotpathRow row =
+        run_posted(config, traces, producers, /*mailbox_capacity=*/0);
     result.ok = result.ok && snapshots_match(row.snapshot, baseline.snapshot);
     for (int r = 1; r < reps; ++r) {
-      HotpathRow again = run_posted(config, traces, producers,
-                                    /*mailbox_capacity=*/0,
-                                    /*fast_path=*/true, ctx.pin);
+      HotpathRow again =
+          run_posted(config, traces, producers, /*mailbox_capacity=*/0);
       result.ok =
           result.ok && snapshots_match(again.snapshot, baseline.snapshot);
       if (again.elapsed_ms < row.elapsed_ms) row = std::move(again);
@@ -421,65 +269,10 @@ SMERGE_BENCH(sim_server_core_hotpath,
       run_posted(config, traces, /*producers=*/2, /*mailbox_capacity=*/256);
   result.ok = result.ok && snapshots_match(spill.snapshot, baseline.snapshot);
 
-  // --- The variant matrix ---------------------------------------------------
-  // Same producers=2 load, one hot-path mechanism flipped on at a time.
-  // Throughput comes from the concurrent posted run; p99 per-admission
-  // ns from the serial-admit burst phase (capped in full mode — the
-  // per-admission cost stabilizes long before 10M arrivals). ok asserts
-  // only identity (snapshots + deterministic-cadence checkpoint bytes),
-  // never wall-clock.
-  const std::uint64_t admit_cap =
-      ctx.quick ? UINT64_MAX : std::uint64_t{2'000'000};
-  auto& variant_throughput = result.add_series("variant_arrivals_per_s");
-  auto& variant_p99 = result.add_series("variant_p99_admission_ns");
-  util::TextTable variant_table({"variant", "arrivals/s", "p99 admit ns",
-                                 "vs generic", "dispatch", "kernel",
-                                 "pinned"});
-  const std::vector<std::uint8_t> identity_ref =
-      identity_reference(config, traces);
-  double generic_p99 = 0.0;
-  for (const VariantSpec& v : kVariantSpecs) {
-    const ScalarGuard guard(!v.simd);
-    HotpathRow row = run_posted(config, traces, /*producers=*/2,
-                                /*mailbox_capacity=*/0, v.fast, v.pin);
-    result.ok = result.ok && snapshots_match(row.snapshot, baseline.snapshot);
-    for (int r = 1; r < reps; ++r) {
-      HotpathRow again = run_posted(config, traces, /*producers=*/2,
-                                    /*mailbox_capacity=*/0, v.fast, v.pin);
-      result.ok =
-          result.ok && snapshots_match(again.snapshot, baseline.snapshot);
-      if (again.elapsed_ms < row.elapsed_ms) row = std::move(again);
-    }
-    const double per_s =
-        row.elapsed_ms > 0.0
-            ? static_cast<double>(row.snapshot.total_arrivals) /
-                  (row.elapsed_ms / 1000.0)
-            : 0.0;
-    const char* dispatch = "";
-    const double p99 =
-        admit_phase_p99(config, traces, v.fast, v.pin, admit_cap, &dispatch);
-    if (std::string(v.label) == "generic") generic_p99 = p99;
-    result.ok = result.ok && identity_matches(config, traces, v, identity_ref);
-    variant_throughput.values.push_back(per_s);
-    variant_p99.values.push_back(p99);
-    const unsigned pinned =
-        v.pin ? util::ThreadPool::shared_pinned().pinned_workers() : 0;
-    variant_table.add_row(
-        v.label, util::format_fixed(per_s, 0), util::format_fixed(p99, 0),
-        util::format_fixed(generic_p99 > 0.0 ? p99 / generic_p99 : 0.0, 2),
-        dispatch, v.simd ? util::simd::active_kernel() : "scalar",
-        std::to_string(pinned));
-  }
-  result.tables.push_back(std::move(variant_table));
-
   result.add_metric("baseline_arrivals_per_s", baseline_per_s);
   result.notes.push_back(
       "batching policy over " + std::to_string(config.workload.objects) +
       " objects; every producer count (and the 256-slot spill ring) lands "
       "on the serial baseline's exact snapshot");
-  result.notes.push_back(
-      "variant matrix: every {fast, simd, pin} combination reproduces the "
-      "generic/scalar reference's snapshot and deterministic-cadence "
-      "checkpoint bytes");
   return result;
 }

@@ -35,11 +35,6 @@ struct BenchContext {
   /// `util::SplitMix64` via the workload configs so whole runs are
   /// reproducible from the CLI (--seed). Recorded in the JSON header.
   std::uint64_t seed = kDefaultBenchSeed;
-  /// Run shard fan-outs on the core-pinned static pool (--pin). Pure
-  /// mechanism — results never change, only where the work lands — and
-  /// recorded in the JSON header so bench_compare.py can tell pinned
-  /// and floating baselines apart.
-  bool pin = false;
 };
 
 /// A named numeric trajectory (one curve of a figure, one column of a

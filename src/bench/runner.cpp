@@ -66,11 +66,9 @@ std::string to_json(const std::vector<BenchRun>& runs, const BenchContext& ctx) 
   w.key("seed").value(ctx.seed);
   // Machine context for the comparator: concurrency-sensitive sim_*
   // throughput floors only make sense between runs on comparable
-  // hardware, so record what this host offered and whether workers were
-  // pinned.
+  // hardware, so record what this host offered.
   w.key("hardware_concurrency")
       .value(static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  w.key("pinned").value(ctx.pin);
   w.key("benches").begin_array();
   for (const BenchRun& run : runs) {
     w.begin_object();
@@ -111,8 +109,6 @@ int run_cli(int argc, const char* const* argv) {
   parser.add_bool("quick", false, "reduced parameters (sub-second smoke run)");
   parser.add_int("seed", static_cast<std::int64_t>(kDefaultBenchSeed),
                  "master RNG seed for the stochastic sim_* benches");
-  parser.add_bool("pin", false,
-                  "run shard fan-outs on the core-pinned static pool");
 
   try {
     if (!parser.parse(argc, argv)) {
@@ -167,7 +163,6 @@ int run_cli(int argc, const char* const* argv) {
     return 2;
   }
   ctx.seed = static_cast<std::uint64_t>(seed);
-  ctx.pin = parser.get_bool("pin");
 
   std::vector<BenchRun> runs;
   runs.reserve(selected.size());

@@ -650,7 +650,6 @@ std::string NetServer::http_body(const std::string& path) {
     w.key("finished").value(finished());
   } else {  // /dispatch
     const server::ServerCoreConfig& cfg = core_.config();
-    w.key("dispatch").value(core_.admit_dispatch());
     w.key("policy").value(policy_.name());
     w.key("objects").value(cfg.objects);
     w.key("delay").value(cfg.delay);

@@ -61,8 +61,8 @@ class DgObjectPolicy final : public ObjectPolicy {
     }
   }
 
-  [[nodiscard]] FastSlotKind fast_slot_kind() const noexcept override {
-    return FastSlotKind::kDgSlot;
+  [[nodiscard]] SlotKind slot_kind() const noexcept override {
+    return SlotKind::kDgSlot;
   }
 
  private:
@@ -95,16 +95,8 @@ class BatchingObjectPolicy final : public ObjectPolicy {
     last_start_ = reader.f64();
   }
 
-  [[nodiscard]] FastSlotKind fast_slot_kind() const noexcept override {
-    return FastSlotKind::kBatchSlot;
-  }
-
-  [[nodiscard]] double fast_slot_cursor() const noexcept override {
-    return last_start_;
-  }
-
-  void set_fast_slot_cursor(double cursor) noexcept override {
-    last_start_ = cursor;
+  [[nodiscard]] SlotKind slot_kind() const noexcept override {
+    return SlotKind::kBatchSlot;
   }
 
  private:
@@ -173,13 +165,7 @@ void ObjectPolicy::save_state(util::SnapshotWriter& /*writer*/) const {}
 
 void ObjectPolicy::load_state(util::SnapshotReader& /*reader*/) {}
 
-FastSlotKind ObjectPolicy::fast_slot_kind() const noexcept {
-  return FastSlotKind::kNone;
-}
-
-double ObjectPolicy::fast_slot_cursor() const noexcept { return 0.0; }
-
-void ObjectPolicy::set_fast_slot_cursor(double /*cursor*/) noexcept {}
+SlotKind ObjectPolicy::slot_kind() const noexcept { return SlotKind::kNone; }
 
 void OnlinePolicy::prepare(double delay, double horizon) {
   check_delay(delay);

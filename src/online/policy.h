@@ -51,22 +51,18 @@ namespace smerge {
 /// ((k-1)D, kD] and an arrival exactly on a boundary is served by the
 /// stream starting there (matches merging::batch_arrivals). The single
 /// home of the mapping, shared by the batching policies and
-/// ServerCore's sealed admit fast path.
+/// ServerCore::preview_admission.
 [[nodiscard]] double batch_start_of(double t, double delay);
 
-/// How (whether) a policy's per-arrival decision can be sealed into
-/// ServerCore's devirtualized admit fast path. A policy advertising a
-/// slotted kind promises its on_arrival is *exactly* the corresponding
-/// closed-form mapping — same floating-point expressions, same emission
-/// order — so the core may compute admissions inline (dg_slot_of /
-/// batch_start_of) without the two virtual hops per arrival, and a
-/// checkpoint taken after either path is byte-identical.
-enum class FastSlotKind : std::uint8_t {
-  kNone = 0,   ///< generic: every arrival goes through on_arrival
-  kDgSlot,     ///< stateless: admit at (dg_slot_of(t, D) + 1) * D;
-               ///< the multicast schedule is fixed and emitted in finish
-  kBatchSlot,  ///< one cursor: admit at batch_start_of(t, D), emitting a
-               ///< full stream whenever the batch start advances
+/// Whether a policy's per-arrival decision is a closed-form slot
+/// mapping. A policy advertising a slotted kind promises its on_arrival
+/// admits *exactly* at that mapping — same floating-point expression —
+/// so ServerCore::preview_admission can certify a client's playback
+/// start and wait before the drain that delivers the arrival.
+enum class SlotKind : std::uint8_t {
+  kNone = 0,   ///< decided at delivery: only the admission is certified
+  kDgSlot,     ///< admit at (dg_slot_of(t, D) + 1) * D
+  kBatchSlot,  ///< admit at batch_start_of(t, D)
 };
 
 /// Where a policy records its decisions; implemented by the engine.
@@ -117,16 +113,9 @@ class ObjectPolicy {
   /// by the same OnlinePolicy with the same (delay, horizon). Throws
   /// util::SnapshotError on malformed bytes. Default: reads nothing.
   virtual void load_state(util::SnapshotReader& reader);
-  /// Whether this policy's on_arrival can be sealed into the core's
-  /// inline slot computation (see FastSlotKind). Default: kNone.
-  [[nodiscard]] virtual FastSlotKind fast_slot_kind() const noexcept;
-  /// For kBatchSlot policies: the batching cursor (last emitted batch
-  /// start). The fast path reads it once per delivered batch, replays
-  /// the slot arithmetic locally, and writes it back with
-  /// `set_fast_slot_cursor` — one virtual round-trip per batch instead
-  /// of two per arrival, with `save_state` bytes unchanged. Default 0.
-  [[nodiscard]] virtual double fast_slot_cursor() const noexcept;
-  virtual void set_fast_slot_cursor(double cursor) noexcept;
+  /// The closed-form slot mapping this policy's on_arrival admits by
+  /// (see SlotKind). Default: kNone.
+  [[nodiscard]] virtual SlotKind slot_kind() const noexcept;
 };
 
 /// A policy family: a name plus a factory for per-object state.

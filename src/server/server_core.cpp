@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/plan_io.h"
-#include "util/arena.h"
 #include "util/mpsc_ring.h"
 #include "util/parallel.h"
 #include "util/simd.h"
@@ -164,10 +163,6 @@ struct ServerCore::ObjectState final : PolicySink {
   const plan::ChunkingConfig chunking;
 
   std::unique_ptr<ObjectPolicy> policy;  ///< generic path only
-  /// Sealed admit dispatch (set at build from the policy's
-  /// advertisement when config.fast_path; kNone = virtual on_arrival).
-  /// Derived state: never serialized, identical decisions either way.
-  FastSlotKind fast_kind = FastSlotKind::kNone;
 
   // Recorder (the legacy ShardSink fields).
   ObjectOutcome outcome;
@@ -227,6 +222,7 @@ struct ServerCore::Impl {
     alignas(64) std::atomic<std::uint64_t> ticket{0};  ///< post order stamp
     std::vector<PostedArrival> scratch;  ///< one drain's claimed range
     std::vector<Index> touched;          ///< objects seen in the claim
+    std::vector<double> keys;  ///< one object's batch times (sort check)
     /// Claimed arrivals whose ticket lies past a gap: arrivals with
     /// smaller tickets were still in flight in the ring when this
     /// pass's claim swept it, so these wait here (consumer-owned) for
@@ -241,6 +237,8 @@ struct ServerCore::Impl {
 
   std::vector<std::unique_ptr<ObjectState>> objects;
   std::vector<std::vector<Index>> shard_dirty;  ///< per-shard mailbox index
+  std::vector<unsigned> active;  ///< drain scratch: shards with work
+  std::vector<Index> dirty;      ///< drain scratch: merged dirty objects
   std::vector<std::unique_ptr<ShardMailbox>> mailboxes;  ///< post() path only
   std::atomic<bool> posted_out_of_order{false};  ///< set by drain workers
   std::vector<LedgerEvent> ledger_batch;  ///< flush_object scratch (serial)
@@ -270,9 +268,8 @@ struct ServerCore::Impl {
 
   OnlinePolicy* policy = nullptr;  ///< generic path only
   /// Slot arithmetic for preview_admission: the policy's advertised
-  /// FastSlotKind (or the slotted serve mode's), fixed at construction
-  /// and independent of the fast_path execution knob.
-  FastSlotKind preview_kind = FastSlotKind::kNone;
+  /// SlotKind (or the slotted serve mode's), fixed at construction.
+  SlotKind preview_kind = SlotKind::kNone;
   bool finished = false;
   Snapshot snapshot;  ///< assembled by finish()
 };
@@ -377,18 +374,15 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
         config_.collect_plans || config_.enable_sessions, config_.chunking);
     if (policy != nullptr) {
       state->policy = policy->make_object_policy(config_.delay, config_.horizon);
-      if (config_.fast_path) {
-        state->fast_kind = state->policy->fast_slot_kind();
-      }
     }
     impl_->objects.push_back(std::move(state));
   }
   if (policy != nullptr) {
-    impl_->preview_kind = impl_->objects.front()->policy->fast_slot_kind();
+    impl_->preview_kind = impl_->objects.front()->policy->slot_kind();
   } else {
     impl_->preview_kind = config_.serve == ServeMode::kSlottedDg
-                              ? FastSlotKind::kDgSlot
-                              : FastSlotKind::kBatchSlot;
+                              ? SlotKind::kDgSlot
+                              : SlotKind::kBatchSlot;
   }
   impl_->shard_dirty.resize(config_.shards);
 
@@ -460,58 +454,9 @@ void ServerCore::epilogue(std::span<const Index> objects) {
   for (const Index m : objects) flush_object(m);
 }
 
-/// Delivers a batch of arrivals to one object, dispatching once per
-/// batch instead of twice per arrival: slotted policies that advertised
-/// a FastSlotKind get their on_arrival arithmetic replayed inline
-/// (ObjectState is final, so the sink calls devirtualize too), all
-/// others take the generic virtual hop. The inline bodies are
-/// *transcriptions* of DgObjectPolicy::on_arrival and
-/// BatchingObjectPolicy::on_arrival — same floating-point expressions,
-/// same emission order, same recorder calls — which is what makes
-/// snapshots and checkpoint bytes identical on either path (asserted by
-/// tests/test_hotpath_variants.cpp).
-void ServerCore::deliver_arrivals(ObjectState& state, const double* times,
-                                  std::size_t count) {
-  switch (state.fast_kind) {
-    case FastSlotKind::kDgSlot:
-      // Stateless: admit at the end of the arrival's slot; the schedule
-      // itself is fixed and emitted at finish().
-      for (std::size_t i = 0; i < count; ++i) {
-        const double t = times[i];
-        const Index slot = dg_slot_of(t, config_.delay);
-        state.record_admission(
-            t, static_cast<double>(slot + 1) * config_.delay, t);
-      }
-      return;
-    case FastSlotKind::kBatchSlot: {
-      // One cursor: mirror it locally, replay the batch, sync it back
-      // with a single virtual round-trip so the policy's save_state
-      // bytes are exactly what the virtual path would have written.
-      double last_start = state.policy->fast_slot_cursor();
-      for (std::size_t i = 0; i < count; ++i) {
-        const double t = times[i];
-        const double start = batch_start_of(t, config_.delay);
-        if (start > last_start) {
-          state.start_stream(start, 1.0, -1);
-          last_start = start;
-        }
-        state.record_admission(t, start, t);
-      }
-      state.policy->set_fast_slot_cursor(last_start);
-      return;
-    }
-    case FastSlotKind::kNone:
-      break;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    state.policy->on_arrival(times[i], state);
-  }
-}
-
 void ServerCore::process_object(ObjectState& state) {
-  const std::size_t delivered = state.pending.size();
-  deliver_arrivals(state, state.pending.data(), delivered);
-  state.outcome.arrivals += static_cast<Index>(delivered);
+  for (const double t : state.pending) state.policy->on_arrival(t, state);
+  state.outcome.arrivals += static_cast<Index>(state.pending.size());
   // Large one-shot traces (ingest_trace) release their memory here;
   // small mailboxes keep their capacity for the next drain.
   if (state.pending.capacity() > 4096) {
@@ -766,13 +711,7 @@ void ServerCore::collect_posted(unsigned s) {
     if (state.posted_batch.empty()) mb.touched.push_back(a.object);
     state.posted_batch.push_back(a);
   }
-  // Time-key scratch for the re-sort check, on this worker's arena (the
-  // shard's drain worker is stable under pin_workers, so the buffer
-  // stays in its cache and is released by one pointer rewind).
-  util::MonotonicArena& arena = util::thread_arena();
-  const util::ArenaScope scope(arena);
-  util::ArenaVector<double> keys{util::ArenaAllocator<double>(arena)};
-  keys.reserve(mb.scratch.size());
+  std::vector<double>& keys = mb.keys;
   // Object-id order keeps the dirty-list append order (and therefore a
   // restored core's rebuilt lists) independent of ring interleaving.
   std::sort(mb.touched.begin(), mb.touched.end());
@@ -847,17 +786,12 @@ void ServerCore::ingest_session_trace(Index object,
 
 void ServerCore::drain() {
   if (impl_->finished) return;
-  // Fan-out scratch (active list, merged dirty list) lives on the
-  // caller's arena for the duration of this drain: no heap traffic on
-  // the steady-state path, released by one pointer rewind.
-  util::MonotonicArena& arena = util::thread_arena();
-  const util::ArenaScope scope(arena);
   // Active-shard gather: a shard reaches the pool only when it has
   // dirty objects or published posts, so idle-catalogue drains cost one
   // scan instead of a full pool fan-out.
   const bool posted = !impl_->mailboxes.empty();
-  util::ArenaVector<unsigned> active{util::ArenaAllocator<unsigned>(arena)};
-  active.reserve(config_.shards);
+  std::vector<unsigned>& active = impl_->active;
+  active.clear();
   for (unsigned s = 0; s < config_.shards; ++s) {
     if (!impl_->shard_dirty[s].empty() ||
         (posted && (impl_->mailboxes[s]->box.has_items() ||
@@ -872,30 +806,10 @@ void ServerCore::drain() {
       process_object(*impl_->objects[index_of(m)]);
     }
   };
-  if (config_.pin_workers) {
-    // Static residue-class schedule on the pinned pool: shard s always
-    // lands on participant s % P, so a shard's mailbox ring, dirty
-    // list, and drain scratch stay hot in one core's cache across
-    // drains. Idle shards are skipped via the mask — the mapping must
-    // not depend on which shards happen to be active this round.
-    util::ArenaVector<std::uint8_t> is_active{
-        util::ArenaAllocator<std::uint8_t>(arena)};
-    is_active.assign(config_.shards, 0);
-    for (const unsigned s : active) is_active[s] = 1;
-    util::ThreadPool::shared_pinned().run_static(
-        config_.shards, config_.shards, [&](std::int64_t s) {
-          if (is_active[static_cast<std::size_t>(s)]) {
-            drain_shard(static_cast<unsigned>(s));
-          }
-        });
-  } else {
-    util::parallel_for(
-        0, static_cast<std::int64_t>(active.size()),
-        [&](std::int64_t i) {
-          drain_shard(active[static_cast<std::size_t>(i)]);
-        },
-        config_.shards);
-  }
+  util::parallel_for(
+      0, static_cast<std::int64_t>(active.size()),
+      [&](std::int64_t i) { drain_shard(active[static_cast<std::size_t>(i)]); },
+      config_.shards);
   if (posted) {
     if (impl_->posted_out_of_order.load(std::memory_order_relaxed)) {
       impl_->posted_out_of_order.store(false, std::memory_order_relaxed);
@@ -912,10 +826,8 @@ void ServerCore::drain() {
       mb.max_time = 0.0;
     }
   }
-  util::ArenaVector<Index> dirty{util::ArenaAllocator<Index>(arena)};
-  std::size_t dirty_total = 0;
-  for (const auto& list : impl_->shard_dirty) dirty_total += list.size();
-  dirty.reserve(dirty_total);
+  std::vector<Index>& dirty = impl_->dirty;
+  dirty.clear();
   for (auto& list : impl_->shard_dirty) {
     dirty.insert(dirty.end(), list.begin(), list.end());
     list.clear();
@@ -956,7 +868,7 @@ Ticket ServerCore::admit_policy(Index object, double time) {
   // Preserve per-object time order if the driver mixed in mailbox
   // arrivals for this object.
   if (!state.pending.empty()) process_object(state);
-  deliver_arrivals(state, &time, 1);
+  state.policy->on_arrival(time, state);
   flush_object(object);
 
   Ticket ticket;
@@ -1111,14 +1023,13 @@ void ServerCore::finish() {
     }
   }
 
-  util::ThreadPool& pool = fan_out_pool();
   const auto n = static_cast<std::int64_t>(config_.objects);
   if (config_.serve == ServeMode::kPolicy) {
     // Horizon flush: fixed schedules (DG) and late-resolving
     // truncations (the greedy merger) emit here. Objects are
     // independent, so the flush fans out over the pool.
-    util::parallel_for_on(
-        pool, 0, n,
+    util::parallel_for(
+        0, n,
         [&](std::int64_t m) {
           ObjectState& state = *impl_->objects[static_cast<std::size_t>(m)];
           state.policy->finish(config_.horizon, state);
@@ -1143,13 +1054,13 @@ void ServerCore::finish() {
   for (const auto& state : impl_->objects) {
     runs.push_back({state->id, fold_object(*state)});
   }
-  impl_->ledger.apply_runs(runs, pool, config_.shards);
+  impl_->ledger.apply_runs(runs, util::ThreadPool::shared(), config_.shards);
 
   // Per-object finalization: the object's own channel peak (sorts its
   // events — safe now, the ledger has its own copy), the canonical
   // plan, and the interval ordering. Parallel: objects are independent.
-  util::parallel_for_on(
-      pool, 0, n,
+  util::parallel_for(
+      0, n,
       [&](std::int64_t m) {
         ObjectState& state = *impl_->objects[static_cast<std::size_t>(m)];
         if (state.collect_plan) state.plan = state.build_plan();
@@ -1322,18 +1233,11 @@ void ServerCore::exact_percentiles(util::DelayProfile& profile) const {
   }
   static constexpr double kRanks[] = {0.50, 0.95, 0.99};
   const std::vector<double> q =
-      util::nearest_rank_quantiles(waits, kRanks, fan_out_pool(), config_.shards);
+      util::nearest_rank_quantiles(waits, kRanks, util::ThreadPool::shared(),
+                                   config_.shards);
   profile.p50 = q[0];
   profile.p95 = q[1];
   profile.p99 = q[2];
-}
-
-util::ThreadPool& ServerCore::fan_out_pool() const {
-  // Fan-outs outside drain() (finish, exact percentiles) use the pinned
-  // pool when the drains do, so an object's final flush runs on the
-  // core that owns its shard's cache lines.
-  return config_.pin_workers ? util::ThreadPool::shared_pinned()
-                             : util::ThreadPool::shared();
 }
 
 double ServerCore::object_cost(Index object) const {
@@ -1700,22 +1604,6 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
   return info;
 }
 
-const char* ServerCore::admit_dispatch() const noexcept {
-  if (config_.serve != ServeMode::kPolicy) return "native-slotted";
-  if (impl_->objects.empty()) return "generic";
-  // All objects share one policy family, so the first object's sealed
-  // kind is the catalogue's.
-  switch (impl_->objects.front()->fast_kind) {
-    case FastSlotKind::kDgSlot:
-      return "sealed:dg-slot";
-    case FastSlotKind::kBatchSlot:
-      return "sealed:batch-slot";
-    case FastSlotKind::kNone:
-      break;
-  }
-  return "generic";
-}
-
 Ticket ServerCore::preview_admission(Index object, double time) const {
   if (object < 0 || object >= config_.objects) {
     throw std::out_of_range("ServerCore::preview_admission: bad object id");
@@ -1730,7 +1618,7 @@ Ticket ServerCore::preview_admission(Index object, double time) const {
   t.arrival = time;
   t.decision_time = time;
   switch (impl_->preview_kind) {
-    case FastSlotKind::kDgSlot: {
+    case SlotKind::kDgSlot: {
       const Index slot = dg_slot_of(time, config_.delay);
       t.slot = slot;
       t.playback_start = static_cast<double>(slot + 1) * config_.delay;
@@ -1738,14 +1626,14 @@ Ticket ServerCore::preview_admission(Index object, double time) const {
       t.guarantee_wait = t.wait;
       return t;
     }
-    case FastSlotKind::kBatchSlot: {
+    case SlotKind::kBatchSlot: {
       const double start = batch_start_of(time, config_.delay);
       t.playback_start = start;
       t.wait = start - time;
       t.guarantee_wait = t.wait;
       return t;
     }
-    case FastSlotKind::kNone:
+    case SlotKind::kNone:
       break;
   }
   // Generic policies decide at drain; the preview can only certify the

@@ -49,10 +49,6 @@
 #include "server/channel_ledger.h"
 #include "util/stats.h"
 
-namespace smerge::util {
-class ThreadPool;
-}  // namespace smerge::util
-
 namespace smerge::server {
 
 /// What happens when an admission's stream does not fit the channel
@@ -99,17 +95,6 @@ struct ServerCoreConfig {
   Index dg_media_slots = 0;     ///< SlottedDg: L in slots; 0 = round(1/delay)
   bool collect_stream_intervals = false;  ///< keep all intervals (O(streams))
   bool collect_plans = false;   ///< assemble per-object MergePlans (O(streams))
-
-  // Hot-path execution knobs. Pure mechanism — results, snapshots and
-  // checkpoint bytes never depend on them, so (like the shard width and
-  // mailbox capacity) they are not serialized into checkpoints.
-  bool fast_path = true;   ///< seal slotted policies' on_arrival into the
-                           ///< core's inline slot computation (see
-                           ///< FastSlotKind); off = always the virtual hop
-  bool pin_workers = false;  ///< route drain/finish fan-outs through the
-                             ///< core-pinned pool with a stable
-                             ///< shard→worker map (Linux affinity;
-                             ///< elsewhere the pool just floats)
 
   // Session lifecycle (generic policy serving only). When enabled the
   // core takes `ingest_session_trace` instead of plain arrivals, tracks
@@ -338,22 +323,15 @@ class ServerCore {
 
   /// A thread-safe admission preview: the Ticket a client arriving at
   /// `time` will receive, computed from construction-time slot
-  /// arithmetic alone (dg_slot_of / batch_start_of — the same
-  /// closed-form mappings the sealed fast path replays), without
-  /// touching any mutable core state. For policies with no sealed form
-  /// the playback/wait fields come back negative ("decided at the next
+  /// arithmetic alone (dg_slot_of / batch_start_of — the closed-form
+  /// mappings the policy's SlotKind names), without touching any
+  /// mutable core state. For policies with no slot kind the
+  /// playback/wait fields come back negative ("decided at the next
   /// drain") and only the admission itself is certified. This is what
   /// the network front end stamps TICKET replies from: any reactor
   /// thread may call it concurrently with post() and drain(). Throws on
   /// a bad object id or negative time.
   [[nodiscard]] Ticket preview_admission(Index object, double time) const;
-
-  /// How per-arrival admissions are dispatched on this core: a sealed
-  /// fast path ("sealed:dg-slot" / "sealed:batch-slot"), the generic
-  /// virtual path ("generic"), or the natively slotted serving modes
-  /// ("native-slotted"). Reflects the built state, not just the config
-  /// knob — a banner-friendly answer.
-  [[nodiscard]] const char* admit_dispatch() const noexcept;
 
   // --- Slotted-DG access (the DelayGuaranteedServer adapter) --------------
 
@@ -411,15 +389,12 @@ class ServerCore {
   void collect_posted(unsigned shard);
   Ticket admit_slotted(Index object, double time);
   Ticket admit_policy(Index object, double time);
-  void deliver_arrivals(ObjectState& state, const double* times,
-                        std::size_t count);
   void process_object(ObjectState& state);
   void resolve_sessions(ObjectState& state);
   void repair_object_plan(ObjectState& state);
   std::span<const ChannelEvent> fold_object(ObjectState& state);
   void flush_object(Index object);
   void exact_percentiles(util::DelayProfile& profile) const;
-  [[nodiscard]] util::ThreadPool& fan_out_pool() const;
   void epilogue(std::span<const Index> objects);
   void dg_emit_through(ObjectState& state, Index slot);
   bool slot_stream_fits(double start, double duration);

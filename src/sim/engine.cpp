@@ -26,7 +26,6 @@ server::ServerCoreConfig core_config(const EngineConfig& config) {
   core.enable_sessions = config.churn.enabled();
   core.chunking = config.chunking;
   core.mailbox_capacity = config.mailbox_capacity;
-  core.pin_workers = config.pin_workers;
   return core;
 }
 

@@ -73,10 +73,6 @@ struct EngineConfig {
   /// verifiable per-object output. Off by default: O(total streams)
   /// extra memory.
   bool collect_plans = false;
-  /// Drain the shards on the core-pinned static pool (see
-  /// ServerCoreConfig::pin_workers). Pure mechanism: results and
-  /// checkpoint bytes never depend on it.
-  bool pin_workers = false;
 };
 
 /// Exact client start-up delay distribution (nearest-rank percentiles).

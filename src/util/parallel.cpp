@@ -15,12 +15,6 @@ unsigned default_thread_count() noexcept {
 void parallel_for(std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t)>& body,
                   unsigned threads) {
-  parallel_for_on(ThreadPool::shared(), begin, end, body, threads);
-}
-
-void parallel_for_on(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                     const std::function<void(std::int64_t)>& body,
-                     unsigned threads) {
   if (begin >= end) return;
   const std::int64_t count = end - begin;
   if (threads <= 1 || count < 2) {
@@ -32,7 +26,7 @@ void parallel_for_on(ThreadPool& pool, std::int64_t begin, std::int64_t end,
   const auto participants =
       static_cast<std::int64_t>(std::max(1u, std::min(threads, 64u)));
   const std::int64_t grain = std::max<std::int64_t>(1, count / (participants * 4));
-  pool.run(begin, end, grain, threads, body);
+  ThreadPool::shared().run(begin, end, grain, threads, body);
 }
 
 }  // namespace smerge::util

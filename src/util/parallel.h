@@ -32,16 +32,6 @@ void parallel_for(std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t)>& body,
                   unsigned threads = default_thread_count());
 
-class ThreadPool;
-
-/// Same contract as `parallel_for`, but over an explicit pool — the way
-/// a core that opted into `pin_workers` routes its fork-joins through
-/// `ThreadPool::shared_pinned()` without changing scheduling for the
-/// rest of the process.
-void parallel_for_on(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                     const std::function<void(std::int64_t)>& body,
-                     unsigned threads = default_thread_count());
-
 }  // namespace smerge::util
 
 #endif  // SMERGE_UTIL_PARALLEL_H

@@ -19,8 +19,7 @@
 //               NEON on AArch64; the compiler splits the 256-bit
 //               vectors into 128-bit halves);
 //  * "scalar" — the original `bmax` loop, always compiled, used as the
-//               test oracle and selected by `force_scalar(true)`
-//               (the `--no-simd` escape hatch).
+//               test oracle and selected by `force_scalar(true)`.
 //
 // Bit-identity between flavours is enforced by tests (fuzz vs the
 // scalar oracle) and by the checkpoint byte-identity suite — required,
@@ -87,7 +86,7 @@ struct ScanResult {
 [[nodiscard]] unsigned lanes() noexcept;
 
 /// Route every dispatched kernel to the scalar oracle (the
-/// `--no-simd` flag and the equivalence tests). Thread-safe toggle.
+/// equivalence tests). Thread-safe toggle.
 void force_scalar(bool on) noexcept;
 
 /// Whether `force_scalar(true)` is currently in effect.

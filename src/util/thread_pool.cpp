@@ -4,11 +4,6 @@
 
 #include "util/parallel.h"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace smerge::util {
 
 namespace {
@@ -24,31 +19,10 @@ thread_local bool t_in_fork_join = false;
 
 }  // namespace
 
-ThreadPool::ThreadPool(unsigned workers)
-    : ThreadPool(ThreadPoolConfig{workers, false}) {}
-
-ThreadPool::ThreadPool(const ThreadPoolConfig& config)
-    : pin_requested_(config.pin_workers) {
-  workers_.reserve(config.workers);
-  for (unsigned w = 0; w < config.workers; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-#ifdef __linux__
-    if (config.pin_workers) {
-      // Worker w → CPU (w + 1) % hw, leaving CPU 0 for the caller
-      // thread. Affinity is set from here on the spawned thread's
-      // handle so pinned_workers() is exact once the constructor
-      // returns. Failure (cgroup cpuset, exotic schedulers) just
-      // leaves the worker floating.
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET((w + 1) % hw, &set);
-      if (pthread_setaffinity_np(workers_.back().native_handle(), sizeof(set),
-                                 &set) == 0) {
-        ++pinned_workers_;
-      }
-    }
-#endif
+ThreadPool::ThreadPool(unsigned workers) {
+  workers_.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -70,15 +44,9 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-ThreadPool& ThreadPool::shared_pinned() {
-  static ThreadPool pool(
-      ThreadPoolConfig{std::max(1u, default_thread_count() - 1), true});
-  return pool;
-}
-
 bool ThreadPool::on_worker_thread() noexcept { return t_on_pool_worker; }
 
-void ThreadPool::worker_loop(unsigned index) {
+void ThreadPool::worker_loop() {
   t_on_pool_worker = true;
   std::uint64_t seen = 0;
   for (;;) {
@@ -89,13 +57,6 @@ void ThreadPool::worker_loop(unsigned index) {
       if (stop_) return;
       seen = epoch_;
       job = job_;
-    }
-    if (job->static_mode) {
-      // Residue-class assignment: this worker owns class index + 1
-      // (class 0 is the caller); workers beyond the participant count
-      // go straight back to sleep.
-      if (index + 1 < job->participants) work_class(*job, index + 1);
-      continue;
     }
     // Participate only while the job has slots left; a worker arriving
     // after the budget is spent (or the job finished) goes back to sleep.
@@ -127,70 +88,6 @@ void ThreadPool::work_chunks(Job& job) {
       cv_done_.notify_all();
     }
   }
-}
-
-void ThreadPool::work_class(Job& job, unsigned cls) {
-  const std::int64_t total = job.end - job.begin;
-  const auto stride = static_cast<std::int64_t>(job.participants);
-  const auto offset = static_cast<std::int64_t>(cls);
-  if (offset >= total) return;
-  // The whole class counts as done even if the body throws (remaining
-  // class members are skipped); the join below must always complete.
-  const std::int64_t class_size = (total - offset + stride - 1) / stride;
-  try {
-    for (std::int64_t i = job.begin + offset; i < job.end; i += stride) {
-      (*job.body)(i);
-    }
-  } catch (...) {
-    const std::scoped_lock lock(mutex_);
-    if (!job.error) job.error = std::current_exception();
-  }
-  if (job.done.fetch_add(class_size) + class_size == total) {
-    const std::scoped_lock lock(mutex_);
-    cv_done_.notify_all();
-  }
-}
-
-void ThreadPool::run_static(std::int64_t tasks, unsigned max_threads,
-                            const std::function<void(std::int64_t)>& body) {
-  if (tasks <= 0) return;
-  const auto inline_loop = [&] {
-    for (std::int64_t i = 0; i < tasks; ++i) body(i);
-  };
-  if (max_threads <= 1 || tasks < 2 || workers_.empty() || t_on_pool_worker ||
-      t_in_fork_join) {
-    inline_loop();
-    return;
-  }
-  const std::unique_lock run_lock(run_mutex_, std::try_to_lock);
-  if (!run_lock.owns_lock()) {
-    inline_loop();
-    return;
-  }
-  struct FlagGuard {
-    ~FlagGuard() { t_in_fork_join = false; }
-  } flag_guard;
-  t_in_fork_join = true;
-
-  auto job = std::make_shared<Job>();
-  job->begin = 0;
-  job->end = tasks;
-  job->static_mode = true;
-  job->participants =
-      std::min(max_threads, static_cast<unsigned>(workers_.size()) + 1);
-  job->body = &body;
-  {
-    const std::scoped_lock lock(mutex_);
-    job_ = job;
-    ++epoch_;
-  }
-  cv_work_.notify_all();
-  work_class(*job, 0);  // the caller owns class 0
-  {
-    std::unique_lock lock(mutex_);
-    cv_done_.wait(lock, [&] { return job->done.load() == tasks; });
-  }
-  if (job->error) std::rethrow_exception(job->error);
 }
 
 void ThreadPool::run(std::int64_t begin, std::int64_t end, std::int64_t grain,

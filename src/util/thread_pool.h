@@ -31,23 +31,10 @@
 
 namespace smerge::util {
 
-struct ThreadPoolConfig {
-  /// Persistent worker threads (0 is valid: every `run` is then inline).
-  unsigned workers = 0;
-  /// Pin worker w to CPU (w + 1) % hardware_concurrency at spawn
-  /// (Linux `pthread_setaffinity_np`; a no-op elsewhere). CPU 0 is left
-  /// for the caller thread so the driver and the first worker do not
-  /// contend on single-digit-core hosts. Best-effort: a failed affinity
-  /// call leaves the worker floating and is only reflected in
-  /// `pinned_workers()`.
-  bool pin_workers = false;
-};
-
 class ThreadPool {
  public:
   /// Spawns `workers` threads (0 is valid: every `run` is then inline).
   explicit ThreadPool(unsigned workers);
-  explicit ThreadPool(const ThreadPoolConfig& config);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -59,25 +46,9 @@ class ThreadPool {
   /// keeps the cross-thread path reachable on single-core hosts).
   static ThreadPool& shared();
 
-  /// The process-wide core-pinned pool: same worker count as
-  /// `shared()`, spawned lazily on first use with
-  /// `ThreadPoolConfig::pin_workers` set. Kept separate from the
-  /// floating pool so opting one ServerCore into pinning never changes
-  /// scheduling for the rest of the process.
-  static ThreadPool& shared_pinned();
-
   /// Number of persistent worker threads.
   [[nodiscard]] unsigned worker_count() const noexcept {
     return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Whether this pool was asked to pin its workers.
-  [[nodiscard]] bool pin_requested() const noexcept { return pin_requested_; }
-
-  /// Workers whose affinity call actually succeeded (0 on non-Linux or
-  /// when the scheduler refuses; counted synchronously at spawn).
-  [[nodiscard]] unsigned pinned_workers() const noexcept {
-    return pinned_workers_;
   }
 
   /// True when the calling thread is one of this process's pool workers
@@ -94,18 +65,6 @@ class ThreadPool {
   void run(std::int64_t begin, std::int64_t end, std::int64_t grain,
            unsigned max_threads, const std::function<void(std::int64_t)>& body);
 
-  /// Like `run` over [0, tasks), but with a *stable* task→participant
-  /// map instead of dynamic chunk stealing: with P participants
-  /// (min(max_threads, workers + 1)), task i always executes on
-  /// participant i % P — class 0 is the calling thread, class c > 0 is
-  /// worker c - 1. Sharded callers use this so a shard's mailbox ring,
-  /// dirty list and arena scratch are touched by the same (pinned)
-  /// worker on every drain. Same inline-degradation rules as `run`;
-  /// if the body throws, the remaining tasks of that class are skipped
-  /// (other classes still complete) and the first exception rethrows.
-  void run_static(std::int64_t tasks, unsigned max_threads,
-                  const std::function<void(std::int64_t)>& body);
-
  private:
   // One fork-join region. Heap-allocated and shared with the workers so
   // a worker waking late mutates a completed job's counters harmlessly
@@ -117,15 +76,12 @@ class ThreadPool {
     std::atomic<std::int64_t> cursor{0};  ///< next unclaimed index
     std::atomic<std::int64_t> done{0};    ///< indices fully executed
     std::atomic<unsigned> slots{0};       ///< worker participation budget
-    bool static_mode = false;   ///< run_static: residue-class assignment
-    unsigned participants = 0;  ///< static mode: class count (caller = 0)
     const std::function<void(std::int64_t)>* body = nullptr;
     std::exception_ptr error;  ///< first exception, guarded by pool mutex
   };
 
-  void worker_loop(unsigned index);
+  void worker_loop();
   void work_chunks(Job& job);
-  void work_class(Job& job, unsigned cls);
 
   std::mutex mutex_;
   std::condition_variable cv_work_;   ///< new job / shutdown
@@ -135,8 +91,6 @@ class ThreadPool {
   bool stop_ = false;
   std::mutex run_mutex_;              ///< serializes concurrent callers
   std::vector<std::thread> workers_;
-  bool pin_requested_ = false;
-  unsigned pinned_workers_ = 0;  ///< set once in the constructor
 };
 
 }  // namespace smerge::util

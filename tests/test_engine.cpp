@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/full_cost.h"
@@ -27,10 +26,6 @@ EngineConfig small_config() {
   config.workload.horizon = 5.0;
   config.workload.seed = 17;
   config.delay = 0.02;
-  // The CI TSan leg re-runs this suite with SMERGE_PIN_WORKERS=1 so the
-  // pinned static drain schedule races under the same scrutiny as the
-  // floating pool; results are identical either way (pure mechanism).
-  config.pin_workers = std::getenv("SMERGE_PIN_WORKERS") != nullptr;
   return config;
 }
 

@@ -1,11 +1,10 @@
-// The hot-path variants' one contract: pinning, SIMD ledger walks and
-// the sealed admit fast path are pure mechanism — for every {pinned x
-// simd x fast-path} combination, at every shard width, a posted run's
-// checkpoint bytes and finished snapshot are identical to the serial
-// generic/scalar/unpinned ingest_trace baseline. Exercised over the
-// PR-2 540-instance corpus (180 traces x 3 policy families,
-// round-robining widths and combos) plus a full 24-point cross-product
-// on fixed instances.
+// The posted hot path's one contract: lock-free post() ingest and the
+// SIMD ledger walks are pure mechanism — for scalar and SIMD kernels, at
+// every shard width, a posted run's checkpoint bytes and finished
+// snapshot are identical to the serial scalar ingest_trace baseline.
+// Exercised over a 540-instance corpus (180 traces x 3 policy families,
+// round-robining widths and kernels) plus the full width x family x
+// kernel cross-product on fixed instances.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -23,7 +22,7 @@ namespace {
 
 using namespace smerge;
 
-// The PR-2 fuzz corpus generator (test_plan.cpp / test_recovery.cpp):
+// The fuzz corpus generator shared with test_plan.cpp / test_recovery.cpp:
 // 180 trials of sorted unique arrival times on [0, 8).
 std::vector<std::vector<double>> corpus_traces() {
   std::mt19937_64 rng(20260728);
@@ -42,17 +41,7 @@ std::vector<std::vector<double>> corpus_traces() {
   return traces;
 }
 
-struct Variant {
-  bool pin = false;
-  bool simd = false;
-  bool fast = false;
-};
-
-constexpr Variant kVariants[] = {
-    {false, false, false}, {false, false, true}, {false, true, false},
-    {false, true, true},   {true, false, false}, {true, false, true},
-    {true, true, false},   {true, true, true},
-};
+constexpr bool kKernels[] = {false, true};  ///< SIMD off / on
 
 constexpr unsigned kWidths[] = {1, 2, 4};
 
@@ -67,8 +56,7 @@ std::unique_ptr<OnlinePolicy> make_policy(int family) {
   switch (family) {
     case 0: return std::make_unique<DelayGuaranteedPolicy>();
     case 1: return std::make_unique<BatchingPolicy>();
-    // kNone: the sealed path must fall back to the virtual hop and
-    // still match — the control arm of the cross-product.
+    // SlotKind::kNone: decided at delivery, with no preview contract.
     default:
       return std::make_unique<GreedyMergePolicy>(merging::DyadicParams{},
                                                  /*batched=*/true);
@@ -99,8 +87,8 @@ void expect_same_snapshot(const server::Snapshot& a, const server::Snapshot& b,
   EXPECT_EQ(a.per_object, b.per_object) << context;
 }
 
-// The baseline everything must match: serial ingest_trace, generic
-// virtual dispatch, scalar kernels, floating workers.
+// The baseline everything must match: serial ingest_trace, scalar
+// kernels.
 struct Reference {
   std::vector<std::uint8_t> checkpoint;
   server::Snapshot snapshot;
@@ -111,15 +99,12 @@ struct Reference {
 // P2 percentile marker state, which folds waits in drain order — the
 // cadence is part of the logical state (the WAL records every drain),
 // so reference and variant must share it while everything else (serial
-// vs posted, generic vs sealed, scalar vs SIMD, floating vs pinned)
-// differs.
+// vs posted, scalar vs SIMD) differs.
 Reference reference_run(const std::vector<double>& times, int family,
                         unsigned shards) {
   const ScalarGuard guard(true);
   auto policy = make_policy(family);
-  auto config = base_config(shards);
-  config.fast_path = false;
-  server::ServerCore core(config, *policy);
+  server::ServerCore core(base_config(shards), *policy);
   const std::size_t half = times.size() / 2;
   for (const auto& [begin, end] :
        {std::pair<std::size_t, std::size_t>{0, half}, {half, times.size()}}) {
@@ -139,25 +124,14 @@ Reference reference_run(const std::vector<double>& times, int family,
   return ref;
 }
 
-// One posted run under a variant, byte-compared against the reference:
+// One posted run under a kernel choice, byte-compared against the reference:
 // checkpoint at the all-delivered quiescent point (the config echo pins
 // the shard width, so the reference must share it), snapshot at finish.
 void run_variant(const std::vector<double>& times, int family, unsigned shards,
-                 const Variant& v, const Reference& ref,
-                 const std::string& context) {
-  const ScalarGuard guard(!v.simd);
+                 bool simd, const Reference& ref, const std::string& context) {
+  const ScalarGuard guard(!simd);
   auto policy = make_policy(family);
-  auto config = base_config(shards);
-  config.fast_path = v.fast;
-  config.pin_workers = v.pin;
-  server::ServerCore core(config, *policy);
-  if (v.fast && family < 2) {
-    EXPECT_STREQ(core.admit_dispatch(),
-                 family == 0 ? "sealed:dg-slot" : "sealed:batch-slot")
-        << context;
-  } else {
-    EXPECT_STREQ(core.admit_dispatch(), "generic") << context;
-  }
+  server::ServerCore core(base_config(shards), *policy);
   std::size_t posted = 0;
   for (std::size_t i = 0; i < times.size(); ++i) {
     core.post(static_cast<Index>(i % 3), times[i]);
@@ -169,34 +143,33 @@ void run_variant(const std::vector<double>& times, int family, unsigned shards,
   expect_same_snapshot(core.take_snapshot(), ref.snapshot, context);
 }
 
-std::string context_of(int instance, int family, unsigned shards,
-                       const Variant& v) {
+std::string context_of(int instance, int family, unsigned shards, bool simd) {
   return "instance=" + std::to_string(instance) +
          " family=" + std::to_string(family) +
-         " shards=" + std::to_string(shards) + " pin=" + std::to_string(v.pin) +
-         " simd=" + std::to_string(v.simd) + " fast=" + std::to_string(v.fast);
+         " shards=" + std::to_string(shards) + " simd=" + std::to_string(simd);
 }
 
-// 180 traces x 3 policy families = 540 instances; width and variant
-// round-robin so every (width, variant) pair sees dozens of instances
-// without running the full 24-point product 540 times.
+// 180 traces x 3 policy families = 540 instances; width and kernel
+// round-robin so every (width, kernel) pair sees dozens of instances
+// without running the full cross-product 540 times.
 TEST(HotpathVariants, CorpusCheckpointAndSnapshotByteIdentity) {
   const auto traces = corpus_traces();
   int instance = 0;
   for (int family = 0; family < 3; ++family) {
     for (const auto& times : traces) {
       const unsigned shards = kWidths[instance % 3];
-      const Variant v = kVariants[static_cast<std::size_t>(instance) % 8];
+      // Kernel flips every third instance, so it cycles against width.
+      const bool simd = kKernels[static_cast<std::size_t>(instance / 3) % 2];
       const Reference ref = reference_run(times, family, shards);
-      run_variant(times, family, shards, v, ref,
-                  context_of(instance, family, shards, v));
+      run_variant(times, family, shards, simd, ref,
+                  context_of(instance, family, shards, simd));
       ++instance;
     }
   }
   EXPECT_EQ(instance, 540);
 }
 
-// The full {pin x simd x fast} x width cross-product on fixed dense
+// The full width x family x kernel cross-product on fixed dense
 // instances — every combination, not just the round-robin sample.
 TEST(HotpathVariants, FullCrossProductOnFixedInstances) {
   const auto traces = corpus_traces();
@@ -217,9 +190,9 @@ TEST(HotpathVariants, FullCrossProductOnFixedInstances) {
     for (int family = 0; family < 3; ++family) {
       for (const unsigned shards : kWidths) {
         const Reference ref = reference_run(times, family, shards);
-        for (const Variant& v : kVariants) {
-          run_variant(times, family, shards, v, ref,
-                      context_of(static_cast<int>(pick), family, shards, v));
+        for (const bool simd : kKernels) {
+          run_variant(times, family, shards, simd, ref,
+                      context_of(static_cast<int>(pick), family, shards, simd));
         }
       }
     }

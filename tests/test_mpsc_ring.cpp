@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -213,9 +212,6 @@ sim::EngineConfig small_engine_config() {
   config.workload.horizon = 4.0;
   config.workload.seed = 20260728;
   config.delay = 0.05;
-  // SMERGE_PIN_WORKERS=1 (the CI TSan pinned re-run) drains on the
-  // core-pinned static pool; snapshots must not change.
-  config.pin_workers = std::getenv("SMERGE_PIN_WORKERS") != nullptr;
   return config;
 }
 

@@ -8,8 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -220,9 +220,6 @@ sim::EngineConfig engine_config() {
   config.workload.horizon = 5.0;
   config.workload.seed = 17;
   config.delay = 0.02;
-  // The CI TSan leg re-runs the suite pinned (SMERGE_PIN_WORKERS=1);
-  // the snapshots compared below must be identical either way.
-  config.pin_workers = std::getenv("SMERGE_PIN_WORKERS") != nullptr;
   return config;
 }
 
@@ -547,16 +544,145 @@ TEST(ServerCore, Validation) {
   EXPECT_THROW((void)generic.dg_policy(), std::logic_error);
 }
 
-// --- The finish oracle, pinned ----------------------------------------------
+// --- Admission preview vs the drained decision ------------------------------
+
+// The fuzz corpus shared with test_plan.cpp / test_recovery.cpp: 180
+// trials of sorted unique arrival times on [0, 8).
+std::vector<std::vector<double>> preview_corpus() {
+  std::mt19937_64 rng(20260728);
+  std::uniform_int_distribution<std::size_t> size_dist(0, 24);
+  std::uniform_real_distribution<double> time_dist(0.0, 8.0);
+  std::vector<std::vector<double>> traces(180);
+  for (auto& t : traces) {
+    t.resize(size_dist(rng));
+    for (double& x : t) x = time_dist(rng);
+    std::sort(t.begin(), t.end());
+    t.erase(std::unique(t.begin(), t.end()), t.end());
+  }
+  return traces;
+}
+
+ServerCoreConfig preview_config(Index objects) {
+  ServerCoreConfig config;
+  config.objects = objects;
+  config.delay = 0.25;  // 1/L with L = 4, as DelayGuaranteedPolicy needs
+  config.horizon = 8.0;
+  config.collect_plans = true;
+  return config;
+}
+
+/// The stream of `plan` that starts exactly at `playback`, or -1.
+Index stream_starting_at(const plan::MergePlan& plan, double playback) {
+  const auto starts = plan.start();
+  const auto it = std::find(starts.begin(), starts.end(), playback);
+  return it == starts.end() ? -1 : static_cast<Index>(it - starts.begin());
+}
+
+// Every preview the wire stamps must be the decision the drain records.
+// One arrival per object makes each admission observable on its own:
+// the object's max wait is that client's wait, and its plan holds the
+// stream it joined, whose recorded delay is that wait. The same trace
+// on one object then checks the batching cursor across a whole run.
+TEST(ServerCore, PreviewMatchesDrainedAdmissionForSlottedPolicies) {
+  const auto traces = preview_corpus();
+  DelayGuaranteedPolicy dg;
+  BatchingPolicy batching;
+  int previews = 0;
+  for (OnlinePolicy* policy : {static_cast<OnlinePolicy*>(&dg),
+                               static_cast<OnlinePolicy*>(&batching)}) {
+    const bool is_dg = policy == &dg;
+    for (std::size_t trial = 0; trial < traces.size(); ++trial) {
+      const std::vector<double>& times = traces[trial];
+      if (times.empty()) continue;
+      SCOPED_TRACE(policy->name() + " trial=" + std::to_string(trial));
+      const auto n = static_cast<Index>(times.size());
+
+      ServerCore spread(preview_config(n), *policy);
+      std::vector<Ticket> tickets;
+      for (Index m = 0; m < n; ++m) {
+        tickets.push_back(
+            spread.preview_admission(m, times[static_cast<std::size_t>(m)]));
+        spread.post(m, times[static_cast<std::size_t>(m)]);
+      }
+      spread.drain();
+      spread.finish();
+      const Snapshot snap = spread.take_snapshot();
+      for (Index m = 0; m < n; ++m) {
+        const Ticket& t = tickets[static_cast<std::size_t>(m)];
+        const plan::MergePlan& plan = snap.plans[static_cast<std::size_t>(m)];
+        EXPECT_TRUE(t.admitted);
+        EXPECT_EQ(t.object, m);
+        EXPECT_EQ(t.wait, t.playback_start - t.arrival);
+        EXPECT_EQ(t.guarantee_wait, t.wait);
+        EXPECT_EQ(snap.per_object[static_cast<std::size_t>(m)].max_wait, t.wait);
+        const Index stream = stream_starting_at(plan, t.playback_start);
+        ASSERT_GE(stream, 0) << "no stream starts at the previewed playback";
+        EXPECT_EQ(plan.delay()[static_cast<std::size_t>(stream)], t.wait);
+        // DG's stream k starts at slot k's end, so the stream the client
+        // joined is the previewed slot; batching assigns no slot.
+        EXPECT_EQ(t.slot, is_dg ? stream : Index{-1});
+        ++previews;
+      }
+
+      ServerCore single(preview_config(1), *policy);
+      std::vector<Ticket> queued;
+      for (const double t : times) {
+        queued.push_back(single.preview_admission(0, t));
+        single.post(0, t);
+      }
+      single.drain();
+      single.finish();
+      const Snapshot one = single.take_snapshot();
+      const plan::MergePlan& plan = one.plans[0];
+      std::vector<double> stream_wait(static_cast<std::size_t>(plan.size()), 0.0);
+      double max_wait = 0.0;
+      for (const Ticket& t : queued) {
+        const Index stream = stream_starting_at(plan, t.playback_start);
+        ASSERT_GE(stream, 0) << "no stream starts at the previewed playback";
+        double& w = stream_wait[static_cast<std::size_t>(stream)];
+        w = std::max(w, t.wait);
+        max_wait = std::max(max_wait, t.wait);
+      }
+      for (Index s = 0; s < plan.size(); ++s) {
+        EXPECT_EQ(plan.delay()[static_cast<std::size_t>(s)],
+                  stream_wait[static_cast<std::size_t>(s)]);
+      }
+      EXPECT_EQ(one.wait.max, max_wait);
+    }
+  }
+  EXPECT_GT(previews, 1000);
+}
+
+TEST(ServerCore, PreviewLeavesDrainDecidedPoliciesOpen) {
+  GreedyMergePolicy greedy(merging::DyadicParams{}, /*batched=*/true);
+  ServerCore core(preview_config(2), greedy);
+  for (const auto& times : preview_corpus()) {
+    for (const double t : times) {
+      const Ticket ticket = core.preview_admission(1, t);
+      EXPECT_TRUE(ticket.admitted);
+      EXPECT_EQ(ticket.object, 1);
+      EXPECT_EQ(ticket.arrival, t);
+      EXPECT_EQ(ticket.decision_time, t);
+      EXPECT_EQ(ticket.slot, -1);
+      EXPECT_EQ(ticket.playback_start, -1.0);
+      EXPECT_EQ(ticket.wait, -1.0);
+      EXPECT_EQ(ticket.guarantee_wait, -1.0);
+    }
+  }
+  EXPECT_THROW((void)core.preview_admission(2, 0.0), std::out_of_range);
+  EXPECT_THROW((void)core.preview_admission(0, -1.0), std::invalid_argument);
+}
+
+// --- The finish oracle, recorded digests ------------------------------------
 
 // Small fixed runs whose snapshot digests were recorded before finish()
 // gained its bucket-partitioned ledger fill and selection-based
-// quantiles. Every shard width, pinned or floating, must still land on
-// the same bytes: the fold order, the ledger's canonical event order and
-// the nearest-rank percentiles are unchanged.
-enum class PinnedRun { kGreedyBatched, kDgPolicy, kSlottedDg, kSessions };
+// quantiles. Every shard width must still land on the same bytes: the
+// fold order, the ledger's canonical event order and the nearest-rank
+// percentiles are unchanged.
+enum class DigestRun { kGreedyBatched, kDgPolicy, kSlottedDg, kSessions };
 
-sim::WorkloadConfig pinned_workload() {
+sim::WorkloadConfig digest_workload() {
   sim::WorkloadConfig workload;
   workload.objects = 24;
   workload.zipf_exponent = 1.0;
@@ -566,8 +692,8 @@ sim::WorkloadConfig pinned_workload() {
   return workload;
 }
 
-Snapshot pinned_snapshot(PinnedRun run, unsigned shards, bool pin) {
-  const sim::WorkloadConfig workload = pinned_workload();
+Snapshot digest_snapshot(DigestRun run, unsigned shards) {
+  const sim::WorkloadConfig workload = digest_workload();
   const std::vector<double> weights =
       sim::zipf_weights(workload.objects, workload.zipf_exponent);
   ServerCoreConfig config;
@@ -575,28 +701,27 @@ Snapshot pinned_snapshot(PinnedRun run, unsigned shards, bool pin) {
   config.delay = 0.02;
   config.horizon = workload.horizon;
   config.shards = shards;
-  config.pin_workers = pin;
   GreedyMergePolicy greedy(merging::DyadicParams{}, /*batched=*/true);
   DelayGuaranteedPolicy dg;
   std::unique_ptr<ServerCore> core;
   switch (run) {
-    case PinnedRun::kGreedyBatched:
+    case DigestRun::kGreedyBatched:
       config.channel_capacity = 6;  // observe mode: counts saturated starts
       core = std::make_unique<ServerCore>(config, greedy);
       break;
-    case PinnedRun::kDgPolicy:
+    case DigestRun::kDgPolicy:
       core = std::make_unique<ServerCore>(config, dg);
       break;
-    case PinnedRun::kSlottedDg:
+    case DigestRun::kSlottedDg:
       config.serve = ServeMode::kSlottedDg;
       core = std::make_unique<ServerCore>(config);
       break;
-    case PinnedRun::kSessions:
+    case DigestRun::kSessions:
       config.enable_sessions = true;
       core = std::make_unique<ServerCore>(config, greedy);
       break;
   }
-  if (run == PinnedRun::kSlottedDg) {
+  if (run == DigestRun::kSlottedDg) {
     // The serial live path, in global arrival order.
     std::vector<std::pair<double, Index>> order;
     for (Index m = 0; m < workload.objects; ++m) {
@@ -607,7 +732,7 @@ Snapshot pinned_snapshot(PinnedRun run, unsigned shards, bool pin) {
     }
     std::sort(order.begin(), order.end());
     for (const auto& [t, m] : order) (void)core->admit(m, t);
-  } else if (run == PinnedRun::kSessions) {
+  } else if (run == DigestRun::kSessions) {
     sim::SessionChurnConfig churn;
     churn.abandon_rate = 0.25;
     churn.pause_rate = 0.15;
@@ -641,30 +766,27 @@ Snapshot pinned_snapshot(PinnedRun run, unsigned shards, bool pin) {
 
 TEST(ServerCore, FinishDigestsArePinned) {
   const struct {
-    PinnedRun run;
+    DigestRun run;
     const char* name;
     std::uint64_t digest;
   } cases[] = {
-      {PinnedRun::kGreedyBatched, "greedy-batched", 0xcc4f567a182347d6ull},
-      {PinnedRun::kDgPolicy, "dg-policy", 0xb3721ed08361dab0ull},
-      {PinnedRun::kSlottedDg, "slotted-dg", 0xd02747c7c9161e9cull},
-      {PinnedRun::kSessions, "sessions", 0xe3a2656da12601abull},
+      {DigestRun::kGreedyBatched, "greedy-batched", 0xcc4f567a182347d6ull},
+      {DigestRun::kDgPolicy, "dg-policy", 0xb3721ed08361dab0ull},
+      {DigestRun::kSlottedDg, "slotted-dg", 0xd02747c7c9161e9cull},
+      {DigestRun::kSessions, "sessions", 0xe3a2656da12601abull},
   };
   for (const auto& c : cases) {
     for (const unsigned shards : {1u, 2u, 4u}) {
-      for (const bool pin : {false, true}) {
-        SCOPED_TRACE(std::string(c.name) + " shards=" + std::to_string(shards) +
-                     " pin=" + (pin ? "on" : "off"));
-        const Snapshot snap = pinned_snapshot(c.run, shards, pin);
-        EXPECT_EQ(snapshot_digest(snap), c.digest);
-        // Each run exercises the path it pins.
-        if (c.run == PinnedRun::kGreedyBatched) {
-          EXPECT_GT(snap.capacity_violations, 0);
-        }
-        if (c.run == PinnedRun::kSessions) {
-          EXPECT_GT(snap.plan_truncations, 0);
-          EXPECT_GT(snap.plan_reroots, 0);
-        }
+      SCOPED_TRACE(std::string(c.name) + " shards=" + std::to_string(shards));
+      const Snapshot snap = digest_snapshot(c.run, shards);
+      EXPECT_EQ(snapshot_digest(snap), c.digest);
+      // Each run exercises the path it pins.
+      if (c.run == DigestRun::kGreedyBatched) {
+        EXPECT_GT(snap.capacity_violations, 0);
+      }
+      if (c.run == DigestRun::kSessions) {
+        EXPECT_GT(snap.plan_truncations, 0);
+        EXPECT_GT(snap.plan_reroots, 0);
       }
     }
   }

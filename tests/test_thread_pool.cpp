@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -123,113 +121,6 @@ TEST(ThreadPool, SharedPoolSizedToHardware) {
   EXPECT_EQ(ThreadPool::shared().worker_count(),
             std::max(1u, default_thread_count() - 1));
   EXPECT_FALSE(ThreadPool::on_worker_thread());  // the test thread
-}
-
-TEST(ThreadPool, PinnedConstructionReportsAffinity) {
-  ThreadPoolConfig config;
-  config.workers = 2;
-  config.pin_workers = true;
-  ThreadPool pool(config);
-  EXPECT_EQ(pool.worker_count(), 2u);
-  EXPECT_TRUE(pool.pin_requested());
-#ifdef __linux__
-  // Affinity is set in the constructor via the native handle, so the
-  // count is exact here — no racing the workers' startup.
-  EXPECT_EQ(pool.pinned_workers(), 2u);
-#else
-  EXPECT_EQ(pool.pinned_workers(), 0u);
-#endif
-  // Pinning never changes what runs, only where.
-  std::vector<std::atomic<int>> hits(257);
-  pool.run(0, 257, 8, 3, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, UnpinnedPoolReportsNoAffinity) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.pin_requested());
-  EXPECT_EQ(pool.pinned_workers(), 0u);
-}
-
-TEST(ThreadPool, SharedPinnedPoolSizedToHardware) {
-  ThreadPool& pool = ThreadPool::shared_pinned();
-  EXPECT_EQ(pool.worker_count(), std::max(1u, default_thread_count() - 1));
-  EXPECT_TRUE(pool.pin_requested());
-  EXPECT_EQ(&pool, &ThreadPool::shared_pinned());  // one instance
-  EXPECT_NE(&pool, &ThreadPool::shared());         // distinct from floating
-}
-
-TEST(ThreadPool, StaticScheduleCoversRangeExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1031);
-  pool.run_static(1031, 4, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, StaticScheduleIsStableAcrossCalls) {
-  // The whole point of run_static: task i always lands on participant
-  // i % P, so a shard's state stays on one worker's core across drains.
-  ThreadPool pool(3);
-  constexpr std::int64_t kTasks = 64;
-  std::array<std::thread::id, kTasks> first{};
-  pool.run_static(kTasks, 4, [&](std::int64_t i) {
-    first[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-  });
-  for (int round = 0; round < 32; ++round) {
-    std::array<std::thread::id, kTasks> now{};
-    pool.run_static(kTasks, 4, [&](std::int64_t i) {
-      now[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-    });
-    EXPECT_EQ(first, now);
-  }
-  // Residue classes really are distinct participants: tasks 0..P-1 ran
-  // on P distinct threads (P = min(max_threads, workers + 1) = 4).
-  const std::set<std::thread::id> participants(first.begin(),
-                                               first.begin() + 4);
-  EXPECT_EQ(participants.size(), 4u);
-  for (std::int64_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(first[static_cast<std::size_t>(i)],
-              first[static_cast<std::size_t>(i % 4)]);
-  }
-}
-
-TEST(ThreadPool, StaticSchedulePropagatesExceptions) {
-  ThreadPool pool(2);
-  std::atomic<int> executed{0};
-  EXPECT_THROW(pool.run_static(90, 3,
-                               [&](std::int64_t i) {
-                                 if (i == 37) throw std::runtime_error("boom");
-                                 executed.fetch_add(1);
-                               }),
-               std::runtime_error);
-  // Class 37 % 3 = 1 stops after the throw: tasks 40, 43, ... 88 (17 of
-  // them) are skipped along with 37 itself; the other classes finish.
-  EXPECT_EQ(executed.load(), 90 - 1 - 17);
-}
-
-TEST(ThreadPool, StaticScheduleInlineFallbacks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.run_static(0, 4, [&](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 0);  // empty
-  pool.run_static(1, 4, [&](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 1);  // singleton inline
-  pool.run_static(10, 1, [&](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 11);  // max_threads=1 inline
-
-  ThreadPool empty(0);
-  empty.run_static(10, 8, [&](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 21);  // no workers: inline
-
-  std::atomic<int> inner{0};
-  pool.run_static(4, 3, [&](std::int64_t) {
-    pool.run_static(10, 3, [&](std::int64_t) { inner.fetch_add(1); });
-  });
-  EXPECT_EQ(inner.load(), 40);  // nested: inline, no deadlock
 }
 
 }  // namespace
