@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "sim/multi_object.h"
+#include "sim/engine.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -32,29 +32,31 @@ int main(int argc, char** argv) {
       std::cout << args.help();
       return EXIT_SUCCESS;
     }
-    MultiObjectConfig config;
-    config.objects = args.get_int("movies");
-    config.mean_gap = args.get_double("gap");
+    EngineConfig config;
+    config.workload.objects = args.get_int("movies");
+    config.workload.mean_gap = args.get_double("gap");
+    config.workload.horizon = args.get_double("horizon");
+    config.workload.zipf_exponent = args.get_double("zipf");
+    config.workload.seed = static_cast<std::uint64_t>(args.get_int("seed"));
     config.delay = args.get_double("delay");
-    config.horizon = args.get_double("horizon");
-    config.zipf_exponent = args.get_double("zipf");
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     util::TextTable table({"policy", "streams served", "peak channels"});
     table.set_align(0, util::Align::kLeft);
-    const MultiObjectResult dg = run_multi_object(config, Policy::kDelayGuaranteed);
-    const MultiObjectResult dyi = run_multi_object(config, Policy::kDyadicImmediate);
-    const MultiObjectResult dyb = run_multi_object(config, Policy::kDyadicBatched);
+    DelayGuaranteedPolicy delay_guaranteed;
+    GreedyMergePolicy immediate(merging::DyadicParams{}, /*batched=*/false);
+    GreedyMergePolicy batched(merging::DyadicParams{}, /*batched=*/true);
+    const EngineResult dg = run_engine(config, delay_guaranteed);
+    const EngineResult dyi = run_engine(config, immediate);
+    const EngineResult dyb = run_engine(config, batched);
     table.add_row("delay-guaranteed", dg.streams_served, dg.peak_concurrency);
     table.add_row("dyadic (immediate)", dyi.streams_served, dyi.peak_concurrency);
     table.add_row("dyadic (batched)", dyb.streams_served, dyb.peak_concurrency);
     std::cout << table.to_string() << '\n';
 
     util::TextTable popularity({"movie", "arrivals", "DG streams", "dyadic streams"});
-    for (Index m = 0; m < config.objects; ++m) {
-      popularity.add_row(m, dg.arrivals_per_object[static_cast<std::size_t>(m)],
-                         dg.per_object[static_cast<std::size_t>(m)],
-                         dyi.per_object[static_cast<std::size_t>(m)]);
+    for (std::size_t m = 0; m < dg.per_object.size(); ++m) {
+      popularity.add_row(m, dg.per_object[m].arrivals, dg.per_object[m].cost,
+                         dyi.per_object[m].cost);
     }
     std::cout << popularity.to_string() << '\n'
               << "Note: the DG peak is a function of the delay alone — the server\n"

@@ -5,7 +5,7 @@
 // The claim under test: the DG peak is flat in the load (the server can
 // always admit), while the dyadic policies' peak grows with demand.
 #include "bench/registry.h"
-#include "sim/multi_object.h"
+#include "sim/engine.h"
 #include "util/parallel.h"
 
 namespace {
@@ -25,9 +25,9 @@ SMERGE_BENCH(abl_multi_object,
                 : std::vector<double>{2.0, 1.0, 0.5, 0.2, 0.1};
 
   struct Row {
-    MultiObjectResult dg;
-    MultiObjectResult dyadic;
-    MultiObjectResult batched;
+    EngineResult dg;
+    EngineResult dyadic;
+    EngineResult batched;
   };
   const double horizon = ctx.quick ? 10.0 : 25.0;
   std::vector<Row> rows(pcts.size());
@@ -35,16 +35,19 @@ SMERGE_BENCH(abl_multi_object,
       0, static_cast<std::int64_t>(pcts.size()),
       [&](std::int64_t i) {
         const auto idx = static_cast<std::size_t>(i);
-        MultiObjectConfig config;
-        config.objects = 10;
-        config.zipf_exponent = 1.0;
-        config.mean_gap = pcts[idx] / 100.0;
-        config.horizon = horizon;
+        EngineConfig config;
+        config.workload.objects = 10;
+        config.workload.zipf_exponent = 1.0;
+        config.workload.mean_gap = pcts[idx] / 100.0;
+        config.workload.horizon = horizon;
+        config.workload.seed = 31;
         config.delay = 0.02;
-        config.seed = 31;
-        rows[idx].dg = run_multi_object(config, Policy::kDelayGuaranteed);
-        rows[idx].dyadic = run_multi_object(config, Policy::kDyadicImmediate);
-        rows[idx].batched = run_multi_object(config, Policy::kDyadicBatched);
+        DelayGuaranteedPolicy dg;
+        GreedyMergePolicy dyadic(merging::DyadicParams{}, /*batched=*/false);
+        GreedyMergePolicy batched(merging::DyadicParams{}, /*batched=*/true);
+        rows[idx].dg = run_engine(config, dg);
+        rows[idx].dyadic = run_engine(config, dyadic);
+        rows[idx].batched = run_engine(config, batched);
       },
       ctx.threads);
 

@@ -1,5 +1,6 @@
 #include "online/policy.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,6 +13,16 @@ Index dg_slot_of(double arrival_time, double slot_duration) {
   const double slots = arrival_time / slot_duration;
   const auto rounded = static_cast<Index>(std::ceil(slots - 1e-12));
   return rounded == 0 ? Index{0} : rounded - 1;
+}
+
+DgAdmission dg_admission(double arrival, double slot_duration, Index slot) {
+  const double start = static_cast<double>(slot + 1) * slot_duration;
+  return {slot, start, std::max(0.0, start - arrival)};
+}
+
+DgAdmission dg_admission(double arrival, double slot_duration) {
+  return dg_admission(arrival, slot_duration,
+                      dg_slot_of(arrival, slot_duration));
 }
 
 double batch_start_of(double t, double delay) {
@@ -34,11 +45,9 @@ class DgObjectPolicy final : public ObjectPolicy {
       : dg_(std::move(dg)), delay_(delay) {}
 
   void on_arrival(double time, PolicySink& sink) override {
-    // The per-arrival "decision" is the O(1) slot lookup of
-    // DelayGuaranteedServer::admit; the multicast schedule itself is
-    // fixed and emitted in finish().
-    const Index slot = dg_slot_of(time, delay_);
-    sink.admit(time, static_cast<double>(slot + 1) * delay_);
+    // The per-arrival "decision" is an O(1) slot lookup; the multicast
+    // schedule itself is fixed and emitted in finish().
+    sink.admit(time, dg_admission(time, delay_).start);
   }
 
   void finish(double horizon, PolicySink& sink) override {
@@ -55,7 +64,8 @@ class DgObjectPolicy final : public ObjectPolicy {
     for (Index t = 0; t < n; ++t) {
       const Index local = t % block;
       const Index parent = local == 0 ? -1 : (t - local) + tmpl.parent(local);
-      sink.start_stream(static_cast<double>(t + 1) * delay_,
+      // Slot t's stream starts where its clients' admissions start.
+      sink.start_stream(dg_admission(0.0, delay_, t).start,
                         static_cast<double>(dg_->stream_length(t, n)) * delay_,
                         parent);
     }

@@ -6,9 +6,9 @@
 // and multicast streams (start + duration) into a PolicySink. Three of
 // the paper's algorithms plug in behind the same interface:
 //
-//  * DelayGuaranteedPolicy — Section 4.1, refactored out of
-//    online/delay_guaranteed + online/server: a stream per slot with
-//    template-tree truncation, demand-independent, wait <= delay;
+//  * DelayGuaranteedPolicy — Section 4.1 over online/delay_guaranteed:
+//    a stream per slot with template-tree truncation,
+//    demand-independent, wait <= delay;
 //  * BatchingPolicy — one full stream at the end of every nonempty
 //    delay-interval (the Theorem-14 baseline), wait <= delay;
 //  * GreedyMergePolicy — the (alpha,beta)-dyadic merger of Section 4.2,
@@ -42,10 +42,25 @@ namespace smerge {
 /// under the DG mapping: an arrival during slot t — the interval
 /// (t*D, (t+1)*D] — is served by the stream starting at the slot's end,
 /// and an arrival exactly on a boundary joins the stream starting right
-/// there (zero wait). The single home of the mapping, shared by
-/// DelayGuaranteedPolicy and the event-driven DelayGuaranteedServer
-/// (src/online/server.h).
+/// there (zero wait). The single home of the mapping.
 [[nodiscard]] Index dg_slot_of(double arrival_time, double slot_duration);
+
+/// A client's admission under the DG slot mapping.
+struct DgAdmission {
+  Index slot = 0;      ///< the slot whose stream serves the client
+  double start = 0.0;  ///< that stream's start, (slot + 1) * D
+  double wait = 0.0;   ///< start - arrival, clamped at 0: dg_slot_of
+                       ///< serves an arrival a hair past a boundary from
+                       ///< the stream starting on it
+};
+
+/// The kDgSlot admission of a client arriving at `arrival`, served by
+/// slot `slot` (default: dg_slot_of(arrival, D)) — the single home of
+/// the DG ticket arithmetic, shared by DelayGuaranteedPolicy, the
+/// slotted-batching core and ServerCore::preview_admission.
+[[nodiscard]] DgAdmission dg_admission(double arrival, double slot_duration,
+                                       Index slot);
+[[nodiscard]] DgAdmission dg_admission(double arrival, double slot_duration);
 
 /// The batching interval end serving an arrival at `t`: intervals are
 /// ((k-1)D, kD] and an arrival exactly on a boundary is served by the
@@ -61,7 +76,7 @@ namespace smerge {
 /// start and wait before the drain that delivers the arrival.
 enum class SlotKind : std::uint8_t {
   kNone = 0,   ///< decided at delivery: only the admission is certified
-  kDgSlot,     ///< admit at (dg_slot_of(t, D) + 1) * D
+  kDgSlot,     ///< admit at dg_admission(t, D).start
   kBatchSlot,  ///< admit at batch_start_of(t, D)
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -205,9 +204,8 @@ struct ServerCore::ObjectState final : PolicySink {
   // Serving state.
   double last_time = 0.0;     ///< monotonicity guard (ingest + admit)
   double last_playback = 0.0; ///< most recent admission (ticket assembly)
-  Index last_slot = -1;       ///< slotted modes
-  Index dg_emitted = -1;      ///< SlottedDg: last slot already in the ledger
-  std::vector<std::uint8_t> slot_has_stream;  ///< SlottedBatching
+  Index last_slot = -1;       ///< slotted batching; checkpoint record only
+  std::vector<std::uint8_t> slot_has_stream;  ///< slotted batching
 };
 
 struct ServerCore::Impl {
@@ -262,13 +260,10 @@ struct ServerCore::Impl {
   double wait_max = 0.0;
   Index wait_count = 0;
 
-  // Slotted Delay Guaranteed substrate.
-  std::shared_ptr<const DelayGuaranteedOnline> dg;
-  std::unique_ptr<ProgramTable> table;
-
   OnlinePolicy* policy = nullptr;  ///< generic path only
   /// Slot arithmetic for preview_admission: the policy's advertised
-  /// SlotKind (or the slotted serve mode's), fixed at construction.
+  /// SlotKind (kDgSlot on a slotted-batching core), fixed at
+  /// construction.
   SlotKind preview_kind = SlotKind::kNone;
   bool finished = false;
   Snapshot snapshot;  ///< assembled by finish()
@@ -331,9 +326,9 @@ ServerCore::ServerCore(const ServerCoreConfig& config, OnlinePolicy& policy)
 }
 
 ServerCore::ServerCore(const ServerCoreConfig& config) : config_(config) {
-  if (config_.serve == ServeMode::kPolicy) {
+  if (config_.serve != ServeMode::kSlottedBatching) {
     throw std::invalid_argument(
-        "ServerCore: the slotted constructor requires a slotted ServeMode");
+        "ServerCore: the slotted constructor requires kSlottedBatching");
   }
   validate();
   build_objects(nullptr);
@@ -345,25 +340,14 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
   // Streams can outlive the horizon by up to one media length plus the
   // defer slack; later times clamp into the ledger's final bucket,
   // which stays exact (only slower to scan). Open-ended cores
-  // (horizon 0, e.g. the DelayGuaranteedServer adapter) get a 32-media
-  // floor so live queries keep their bucketed complexity over a
-  // realistic served window instead of piling everything into one
-  // overflow bucket.
+  // (horizon 0) get a 32-media floor so live queries keep their
+  // bucketed complexity over a realistic served window instead of
+  // piling everything into one overflow bucket.
   const double span =
       std::max(32.0, config_.horizon + 1.0) +
       config_.delay * static_cast<double>(config_.max_defer_slots + 2);
   impl_ = std::make_unique<Impl>(span, bucket);
   impl_->policy = policy;
-
-  if (config_.serve == ServeMode::kSlottedDg) {
-    Index slots = config_.dg_media_slots;
-    if (slots < 0) {
-      throw std::invalid_argument("ServerCore: dg_media_slots must be >= 0");
-    }
-    if (slots == 0) slots = DelayGuaranteedPolicy::media_slots(config_.delay);
-    impl_->dg = std::make_shared<const DelayGuaranteedOnline>(slots);
-    impl_->table = std::make_unique<ProgramTable>(*impl_->dg);
-  }
 
   impl_->objects.reserve(index_of(config_.objects));
   for (Index m = 0; m < config_.objects; ++m) {
@@ -377,13 +361,11 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
     }
     impl_->objects.push_back(std::move(state));
   }
-  if (policy != nullptr) {
-    impl_->preview_kind = impl_->objects.front()->policy->slot_kind();
-  } else {
-    impl_->preview_kind = config_.serve == ServeMode::kSlottedDg
-                              ? SlotKind::kDgSlot
-                              : SlotKind::kBatchSlot;
-  }
+  // A slotted-batching core admits by the DG slot mapping (a stream at
+  // each nonempty slot's end), so that is what it previews by.
+  impl_->preview_kind = policy != nullptr
+                            ? impl_->objects.front()->policy->slot_kind()
+                            : SlotKind::kDgSlot;
   impl_->shard_dirty.resize(config_.shards);
 
   // Ring mailboxes exist only where post() is legal (generic-policy,
@@ -899,24 +881,6 @@ void ServerCore::start_slot_stream(ObjectState& state, Index slot, double start,
   }
 }
 
-void ServerCore::dg_emit_through(ObjectState& state, Index slot) {
-  const MergeTree& tmpl = impl_->dg->template_tree();
-  const Index block = impl_->dg->block_size();
-  for (Index t = state.dg_emitted + 1; t <= slot; ++t) {
-    const Index local = t % block;
-    const Index parent = local == 0 ? -1 : (t - local) + tmpl.parent(local);
-    // Unclipped template truncation: the running schedule cannot know
-    // the final horizon yet, so final-block pruning applies only to the
-    // closed-form cost (DelayGuaranteedOnline::cost), not the ledger.
-    const Index block_end = (t - local) + block;
-    state.start_stream(
-        static_cast<double>(t + 1) * config_.delay,
-        static_cast<double>(impl_->dg->stream_length(t, block_end)) * config_.delay,
-        parent);
-  }
-  if (slot > state.dg_emitted) state.dg_emitted = slot;
-}
-
 Ticket ServerCore::admit_slotted(Index object, double time) {
   ObjectState& state = *impl_->objects[index_of(object)];
   const double delay = config_.delay;
@@ -928,29 +892,14 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
   ticket.decision_time = time;
   ticket.slot = slot;
 
-  if (config_.serve == ServeMode::kSlottedDg) {
-    // Delay Guaranteed: the schedule is fixed (a stream per slot), the
-    // admission is a pure O(1) lookup.
-    dg_emit_through(state, slot);
-    ticket.admitted = true;
-    ticket.playback_start = static_cast<double>(slot + 1) * delay;
-    ticket.wait = ticket.playback_start - time;
-    ticket.guarantee_wait = ticket.wait;
-    ticket.program = slot % impl_->dg->block_size();
-    state.record_admission(time, ticket.playback_start, time);
-    if (slot > state.last_slot) state.last_slot = slot;
-    flush_object(object);
-    return ticket;
-  }
-
-  // Slotted batching: one full stream per nonempty slot; the channel
+  // One full stream at the end of each nonempty DG slot; the channel
   // budget is checked before the client is accepted.
   const auto slot_covered = [&](Index s) {
     return index_of(s) < state.slot_has_stream.size() &&
            state.slot_has_stream[index_of(s)] != 0;
   };
   const auto slot_start = [&](Index s) {
-    return static_cast<double>(s + 1) * delay;
+    return dg_admission(time, delay, s).start;
   };
 
   Index serve_slot = slot;
@@ -1001,10 +950,12 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
   if (!slot_covered(serve_slot)) {
     start_slot_stream(state, serve_slot, slot_start(serve_slot), 1.0, -1);
   }
+  const DgAdmission served = dg_admission(time, delay, serve_slot);
   ticket.admitted = true;
-  ticket.playback_start = slot_start(serve_slot);
-  ticket.wait = ticket.playback_start - time;
-  ticket.guarantee_wait = ticket.playback_start - ticket.decision_time;
+  ticket.playback_start = served.start;
+  ticket.wait = served.wait;
+  ticket.guarantee_wait =
+      dg_admission(ticket.decision_time, delay, serve_slot).wait;
   state.record_admission(time, ticket.playback_start, ticket.decision_time);
   if (serve_slot > state.last_slot) state.last_slot = serve_slot;
   flush_object(object);
@@ -1035,12 +986,6 @@ void ServerCore::finish() {
           state.policy->finish(config_.horizon, state);
         },
         config_.shards);
-  } else if (config_.serve == ServeMode::kSlottedDg && config_.horizon > 0.0) {
-    // The DG schedule is demand-independent: extend it through every
-    // slot that begins within the horizon.
-    const auto slots = static_cast<Index>(
-        std::ceil(config_.horizon / config_.delay - 1e-12));
-    for (auto& state : impl_->objects) dg_emit_through(*state, slots - 1);
   }
 
   // The finish epilogue: the drain's serial fold (cost, stream count,
@@ -1240,27 +1185,6 @@ void ServerCore::exact_percentiles(util::DelayProfile& profile) const {
   profile.p99 = q[2];
 }
 
-double ServerCore::object_cost(Index object) const {
-  if (object < 0 || object >= config_.objects) {
-    throw std::out_of_range("ServerCore::object_cost");
-  }
-  return impl_->objects[index_of(object)]->outcome.cost;
-}
-
-Index ServerCore::object_clients(Index object) const {
-  if (object < 0 || object >= config_.objects) {
-    throw std::out_of_range("ServerCore::object_clients");
-  }
-  return static_cast<Index>(impl_->objects[index_of(object)]->waits.size());
-}
-
-Index ServerCore::object_last_slot(Index object) const {
-  if (object < 0 || object >= config_.objects) {
-    throw std::out_of_range("ServerCore::object_last_slot");
-  }
-  return impl_->objects[index_of(object)]->last_slot;
-}
-
 // --- Crash consistency ------------------------------------------------------
 
 namespace {
@@ -1297,7 +1221,10 @@ void save_config(util::SnapshotWriter& w, const ServerCoreConfig& c) {
   w.u8(static_cast<std::uint8_t>(c.admission));
   w.i64(c.max_defer_slots);
   w.f64(c.ledger_bucket);
-  w.i64(c.dg_media_slots);
+  // The smerge-ckpt-v1 layout keeps the i64 positions of the retired
+  // slotted Delay Guaranteed mode (its media-slot count here, its
+  // emitted-slot cursor in each object record): always 0 and -1.
+  w.i64(0);
   w.boolean(c.collect_stream_intervals);
   w.boolean(c.collect_plans);
   w.boolean(c.enable_sessions);
@@ -1326,7 +1253,7 @@ void check_config(util::SnapshotReader& r, const ServerCoreConfig& c) {
   if (r.u8() != static_cast<std::uint8_t>(c.admission)) mismatch("admission");
   if (r.i64() != c.max_defer_slots) mismatch("max_defer_slots");
   if (r.f64() != c.ledger_bucket) mismatch("ledger_bucket");
-  if (r.i64() != c.dg_media_slots) mismatch("dg_media_slots");
+  if (r.i64() != 0) mismatch("retired media-slot count");
   if (r.boolean() != c.collect_stream_intervals) {
     mismatch("collect_stream_intervals");
   }
@@ -1440,7 +1367,7 @@ std::vector<std::uint8_t> ServerCore::checkpoint(
     w.f64(s.last_time);
     w.f64(s.last_playback);
     w.i64(s.last_slot);
-    w.i64(s.dg_emitted);
+    w.i64(-1);  // retired emitted-slot cursor (see save_config)
     w.u64(s.slot_has_stream.size());
     for (const std::uint8_t b : s.slot_has_stream) w.u8(b);
 
@@ -1572,7 +1499,9 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
     s.last_time = r.f64();
     s.last_playback = r.f64();
     s.last_slot = r.i64();
-    s.dg_emitted = r.i64();
+    if (r.i64() != -1) {
+      throw util::SnapshotError("checkpoint: retired emitted-slot cursor set");
+    }
     const std::uint64_t slot_count = r.u64();
     if (slot_count > r.remaining()) {
       throw util::SnapshotError("checkpoint: slot flags exceed remaining");
@@ -1619,17 +1548,19 @@ Ticket ServerCore::preview_admission(Index object, double time) const {
   t.decision_time = time;
   switch (impl_->preview_kind) {
     case SlotKind::kDgSlot: {
-      const Index slot = dg_slot_of(time, config_.delay);
-      t.slot = slot;
-      t.playback_start = static_cast<double>(slot + 1) * config_.delay;
-      t.wait = t.playback_start - time;
-      t.guarantee_wait = t.wait;
+      const DgAdmission a = dg_admission(time, config_.delay);
+      t.slot = a.slot;
+      t.playback_start = a.start;
+      t.wait = a.wait;
+      t.guarantee_wait = a.wait;
       return t;
     }
     case SlotKind::kBatchSlot: {
       const double start = batch_start_of(time, config_.delay);
       t.playback_start = start;
-      t.wait = start - time;
+      // Clamped like the drain's record of the wait: a negative field
+      // is the "decided at drain" sentinel.
+      t.wait = std::max(0.0, start - time);
       t.guarantee_wait = t.wait;
       return t;
     }
@@ -1649,20 +1580,6 @@ void ServerCore::degrade_admissions() noexcept {
       config_.admission == AdmissionMode::kDefer) {
     config_.admission = AdmissionMode::kDegrade;
   }
-}
-
-const DelayGuaranteedOnline& ServerCore::dg_policy() const {
-  if (impl_->dg == nullptr) {
-    throw std::logic_error("ServerCore::dg_policy: not a SlottedDg core");
-  }
-  return *impl_->dg;
-}
-
-const ProgramTable& ServerCore::programs() const {
-  if (impl_->table == nullptr) {
-    throw std::logic_error("ServerCore::programs: not a SlottedDg core");
-  }
-  return *impl_->table;
 }
 
 }  // namespace smerge::server

@@ -1,6 +1,5 @@
 // The sharded, incremental serving runtime — the one live core behind
-// the simulation engine, the event-driven Delay Guaranteed server and
-// the examples.
+// the simulation engine, the network front end and the examples.
 //
 // A ServerCore hosts a catalogue of N media objects and ingests client
 // arrivals incrementally, in either of two shapes:
@@ -16,17 +15,16 @@
 //    object's evolution is a pure function of its own arrival sequence
 //    and the epilogue order is fixed.
 //  * the serial live path — `admit(object, time)` decides one arrival
-//    immediately and returns a Ticket. Under the slotted serving modes
-//    (Delay Guaranteed and batching, where the stream an admission
-//    needs is statically known) this is where capacity-aware admission
-//    lives: a channel budget checked against the incremental ledger
-//    *before* the client is accepted, with selectable overload
-//    behaviour — reject, defer to a later slot, or degrade to
-//    batching — instead of the legacy engine's post-hoc violation
-//    counting.
+//    immediately and returns a Ticket. Under slotted batching (where
+//    the stream an admission needs is statically known) this is where
+//    capacity-aware admission lives: a channel budget checked against
+//    the incremental ledger *before* the client is accepted, with
+//    selectable overload behaviour — reject, defer to a later slot, or
+//    degrade to batching — instead of the legacy engine's post-hoc
+//    violation counting.
 //
 // Live queries — current/peak channels, running delay percentiles
-// (P² estimates or exact-on-demand), per-object cost — are answerable
+// (P² estimates or exact-on-demand) — are answerable
 // at any quiescent point (between drains, or any time on the serial
 // path), not just at end-of-run. `finish()` flushes the policies'
 // horizon schedules; `take_snapshot()` then yields totals bit-identical
@@ -44,7 +42,6 @@
 #include "core/plan_repair.h"
 #include "core/session.h"
 #include "online/policy.h"
-#include "online/program_table.h"
 #include "schedule/channels.h"
 #include "server/channel_ledger.h"
 #include "util/stats.h"
@@ -67,13 +64,14 @@ enum class AdmissionMode {
 /// Human-readable admission-mode name.
 [[nodiscard]] const char* to_string(AdmissionMode mode) noexcept;
 
-/// How arrivals are served.
-enum class ServeMode {
-  kPolicy,          ///< any OnlinePolicy via per-object ObjectPolicy state
-  kSlottedDg,       ///< native Delay Guaranteed: stream per slot, O(1)
-                    ///< program handout (observe only)
-  kSlottedBatching, ///< native batching: one full stream per nonempty
-                    ///< slot; all admission modes supported
+/// How arrivals are served. The values are the serve byte of the
+/// `smerge-ckpt-v1` config echo; 1 was the retired slotted Delay
+/// Guaranteed mode, so its checkpoints fail restore with a serve
+/// mismatch.
+enum class ServeMode : std::uint8_t {
+  kPolicy = 0,           ///< any OnlinePolicy via per-object ObjectPolicy state
+  kSlottedBatching = 2,  ///< native batching: one full stream per nonempty
+                         ///< DG slot; all admission modes supported
 };
 
 /// One ServerCore run: catalogue x serving mode x channel budget.
@@ -92,7 +90,6 @@ struct ServerCoreConfig {
                                 ///< never depend on it (overflow spills,
                                 ///< nothing drops), so checkpoints ignore
                                 ///< it like the shard width.
-  Index dg_media_slots = 0;     ///< SlottedDg: L in slots; 0 = round(1/delay)
   bool collect_stream_intervals = false;  ///< keep all intervals (O(streams))
   bool collect_plans = false;   ///< assemble per-object MergePlans (O(streams))
 
@@ -107,13 +104,11 @@ struct ServerCoreConfig {
   plan::ChunkingConfig chunking;  ///< segment timeline for emitted plans
 };
 
-/// What a client receives back from `admit`. All indices are stable for
-/// the core's lifetime — in particular `program` is a position in the
-/// ProgramTable (never a pointer that later growth could invalidate).
+/// What a client receives back from `admit` (or `preview_admission`).
 struct Ticket {
   bool admitted = false;
   Index object = 0;
-  Index slot = -1;              ///< serving slot (slotted modes)
+  Index slot = -1;              ///< serving DG slot (slot-mapped admissions)
   double arrival = 0.0;
   double decision_time = 0.0;   ///< == arrival unless deferred/degraded
   double playback_start = 0.0;
@@ -122,7 +117,6 @@ struct Ticket {
                                 ///< span the delay guarantee covers
   Index deferred_slots = 0;     ///< slots the admission was pushed back
   bool degraded = false;        ///< served by a later batch than promised
-  Index program = -1;           ///< ProgramTable index (SlottedDg), else -1
 };
 
 /// Per-object totals (index = object id). Field-compatible with the
@@ -231,8 +225,8 @@ class ServerCore {
   /// mode/serve combination.
   ServerCore(const ServerCoreConfig& config, OnlinePolicy& policy);
 
-  /// Slotted core (`kSlottedDg` / `kSlottedBatching`): self-contained,
-  /// no external policy.
+  /// Slotted-batching core (`kSlottedBatching`): self-contained, no
+  /// external policy.
   explicit ServerCore(const ServerCoreConfig& config);
 
   ~ServerCore();
@@ -310,38 +304,24 @@ class ServerCore {
   /// over all waits recorded so far (O(n)); otherwise returns the O(1)
   /// P² running estimates.
   [[nodiscard]] util::DelayProfile wait_profile(bool exact);
-  /// Media units transmitted by one object so far.
-  [[nodiscard]] double object_cost(Index object) const;
-  /// Clients admitted for one object so far.
-  [[nodiscard]] Index object_clients(Index object) const;
-  /// Latest slot any client of `object` was served in (-1 before the
-  /// first admission). Slotted modes.
-  [[nodiscard]] Index object_last_slot(Index object) const;
 
   /// The configuration the core was built with.
   [[nodiscard]] const ServerCoreConfig& config() const noexcept { return config_; }
 
   /// A thread-safe admission preview: the Ticket a client arriving at
   /// `time` will receive, computed from construction-time slot
-  /// arithmetic alone (dg_slot_of / batch_start_of — the closed-form
-  /// mappings the policy's SlotKind names), without touching any
-  /// mutable core state. For policies with no slot kind the
-  /// playback/wait fields come back negative ("decided at the next
-  /// drain") and only the admission itself is certified. This is what
-  /// the network front end stamps TICKET replies from: any reactor
-  /// thread may call it concurrently with post() and drain(). Throws on
-  /// a bad object id or negative time.
+  /// arithmetic alone (dg_admission / batch_start_of — the closed-form
+  /// mappings the policy's SlotKind names; a slotted-batching core
+  /// admits by the DG slot mapping), without touching any mutable core
+  /// state. Under a channel budget the preview is the admission made
+  /// when the budget has room; refusals and deferrals are decided only
+  /// by `admit`. For policies with no slot kind the playback/wait
+  /// fields come back negative ("decided at the next drain") and only
+  /// the admission itself is certified. This is what the network front
+  /// end stamps TICKET replies from: any reactor thread may call it
+  /// concurrently with post() and drain(). Throws on a bad object id or
+  /// negative time.
   [[nodiscard]] Ticket preview_admission(Index object, double time) const;
-
-  // --- Slotted-DG access (the DelayGuaranteedServer adapter) --------------
-
-  /// The shared static DG policy; throws std::logic_error outside
-  /// `kSlottedDg`.
-  [[nodiscard]] const DelayGuaranteedOnline& dg_policy() const;
-  /// The O(1) receiving-program table; `Ticket::program` indexes into
-  /// it and stays valid for the core's lifetime (entries are built once
-  /// at construction and never reallocated afterwards).
-  [[nodiscard]] const ProgramTable& programs() const;
 
   // --- Crash consistency --------------------------------------------------
 
@@ -396,7 +376,6 @@ class ServerCore {
   void flush_object(Index object);
   void exact_percentiles(util::DelayProfile& profile) const;
   void epilogue(std::span<const Index> objects);
-  void dg_emit_through(ObjectState& state, Index slot);
   bool slot_stream_fits(double start, double duration);
   void start_slot_stream(ObjectState& state, Index slot, double start,
                          double duration, Index parent);

@@ -37,7 +37,6 @@ void write_ticket(util::SnapshotWriter& writer, const Ticket& ticket) {
   writer.f64(ticket.guarantee_wait);
   writer.i64(ticket.deferred_slots);
   writer.boolean(ticket.degraded);
-  writer.i64(ticket.program);
 }
 
 Ticket read_ticket(util::SnapshotReader& reader) {
@@ -52,7 +51,6 @@ Ticket read_ticket(util::SnapshotReader& reader) {
   t.guarantee_wait = reader.f64();
   t.deferred_slots = reader.i64();
   t.degraded = reader.boolean();
-  t.program = reader.i64();
   return t;
 }
 

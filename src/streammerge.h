@@ -9,13 +9,15 @@
 // Fibonacci substrate.
 #include "fib/fibonacci.h"
 
-// Core: merge trees/forests, optimal costs and constructions.
+// Core: merge trees/forests, optimal costs and constructions, the plan
+// IR and its verifier.
 #include "core/buffer.h"
 #include "core/full_cost.h"
 #include "core/merge_cost.h"
 #include "core/merge_forest.h"
 #include "core/merge_tree.h"
 #include "core/model.h"
+#include "core/plan.h"
 #include "core/tree_builder.h"
 
 // Slot-accurate schedules, receiving programs, playback verification.
@@ -25,14 +27,14 @@
 #include "schedule/receiving_program.h"
 #include "schedule/stream_schedule.h"
 
-// On-line Delay Guaranteed policy, program table, server.
+// On-line Delay Guaranteed cost model and program table; the pluggable
+// on-line policies.
 #include "online/delay_guaranteed.h"
+#include "online/policy.h"
 #include "online/program_table.h"
-#include "online/server.h"
 
 // General-arrivals merging: dyadic, batching, off-line optimum.
 #include "merging/batching.h"
-#include "merging/continuous_playback.h"
 #include "merging/dyadic.h"
 #include "merging/general_forest.h"
 #include "merging/optimal_general.h"
@@ -42,11 +44,13 @@
 #include "server/channel_ledger.h"
 #include "server/server_core.h"
 
-// Simulation: arrivals, experiment runners, Section-5 extensions.
+// Simulation: arrivals, workloads, the multi-object engine, experiment
+// runners, Section-5 extensions.
 #include "sim/arrivals.h"
+#include "sim/engine.h"
 #include "sim/experiment.h"
 #include "sim/hybrid.h"
-#include "sim/multi_object.h"
+#include "sim/workload.h"
 
 // Utilities.
 #include "util/cli.h"

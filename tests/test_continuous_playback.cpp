@@ -1,6 +1,7 @@
 // Continuous-time playback verification: dyadic forests, batched starts
-// and the general off-line optimum all genuinely serve every client.
-#include "merging/continuous_playback.h"
+// and the general off-line optimum all genuinely serve every client, as
+// checked by the plan verifier on each forest's canonical plan.
+#include "core/plan.h"
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,8 @@ TEST(ContinuousPlayback, MirrorsSlottedFigureThree) {
   f.add_stream(5.0, 0);   // F
   f.add_stream(6.0, 1);   // G
   f.add_stream(7.0, 1);   // H
-  const auto program = continuous_program(f, 3);
+  const auto program =
+      plan::client_program(f.to_plan(), 3, Model::kReceiveTwo);
   ASSERT_EQ(program.size(), 3u);
   EXPECT_EQ(program[0].stream, 3);
   EXPECT_DOUBLE_EQ(program[0].from, 0.0);
@@ -31,7 +33,7 @@ TEST(ContinuousPlayback, MirrorsSlottedFigureThree) {
   EXPECT_EQ(program[2].stream, 0);
   EXPECT_DOUBLE_EQ(program[2].from, 9.0);
   EXPECT_DOUBLE_EQ(program[2].to, 15.0);
-  const ContinuousForestReport report = verify_continuous_forest(f);
+  const plan::PlanReport report = plan::verify(f.to_plan(), Model::kReceiveTwo);
   EXPECT_TRUE(report.ok) << report.first_error;
   EXPECT_EQ(report.max_concurrent, 2);
   EXPECT_DOUBLE_EQ(report.peak_buffer, 7.0);  // Lemma 15: min(7, 15-7)
@@ -40,7 +42,8 @@ TEST(ContinuousPlayback, MirrorsSlottedFigureThree) {
 TEST(ContinuousPlayback, RootOnlyClient) {
   GeneralMergeForest f(1.0);
   f.add_stream(0.25, -1);
-  const ContinuousClientReport r = verify_continuous_client(f, 0);
+  const plan::ClientReport r =
+      plan::verify_client(f.to_plan(), 0, Model::kReceiveTwo);
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.max_concurrent, 1);
   EXPECT_DOUBLE_EQ(r.peak_buffer, 0.0);
@@ -57,7 +60,8 @@ TEST_P(DyadicPlayback, EveryClientPlaysBack) {
        {DyadicParams{}, DyadicParams{2.0, 0.5}, DyadicParams{2.0, 0.25}}) {
     DyadicMerger merger(1.0, params);
     for (const double t : arrivals) merger.arrive(t);
-    const ContinuousForestReport report = verify_continuous_forest(merger.forest());
+    const plan::PlanReport report =
+        plan::verify(merger.forest().to_plan(), Model::kReceiveTwo);
     EXPECT_TRUE(report.ok) << "seed=" << seed << ": " << report.first_error;
     EXPECT_LE(report.max_concurrent, 2);
     // Lemma 15 in continuous form: no client buffers more than L/2.
@@ -71,7 +75,8 @@ TEST_P(DyadicPlayback, BatchedStartsPlayBack) {
   const auto starts = batch_arrivals(arrivals, 0.01);
   DyadicMerger merger(1.0, {});
   for (const double t : starts) merger.arrive(t);
-  const ContinuousForestReport report = verify_continuous_forest(merger.forest());
+  const plan::PlanReport report =
+      plan::verify(merger.forest().to_plan(), Model::kReceiveTwo);
   EXPECT_TRUE(report.ok) << report.first_error;
 }
 
@@ -81,7 +86,8 @@ TEST_P(DyadicPlayback, GeneralOptimumPlaysBack) {
   const std::uint64_t seed = GetParam();
   const auto arrivals = sim::poisson_arrivals(0.05, 5.0, seed);
   const GeneralOptimum opt = optimal_general_forest(arrivals, 1.0);
-  const ContinuousForestReport report = verify_continuous_forest(opt.forest);
+  const plan::PlanReport report =
+      plan::verify(opt.forest.to_plan(), Model::kReceiveTwo);
   EXPECT_TRUE(report.ok) << "seed=" << seed << ": " << report.first_error;
   EXPECT_LE(report.max_concurrent, 2);
 }
@@ -108,7 +114,8 @@ TEST(ContinuousPlayback, DetectsOverTruncatedStream) {
   // Client 2's program in `full` needs stream 1 up to position 0.5;
   // in `clipped` stream 1 only runs 0.2. Verify against clipped durations
   // by transplanting the program source ids (same indices, same times).
-  const auto program = continuous_program(full, 2);
+  const auto program =
+      plan::client_program(full.to_plan(), 2, Model::kReceiveTwo);
   ASSERT_EQ(program.size(), 3u);
   EXPECT_GT(program[1].to, clipped.stream_duration(1) + 1e-9);
 }
@@ -118,7 +125,7 @@ TEST(ContinuousPlayback, SparseForestsAreTrivialUnicast) {
   f.add_stream(0.0, -1);
   f.add_stream(2.0, -1);
   f.add_stream(4.0, -1);
-  const ContinuousForestReport report = verify_continuous_forest(f);
+  const plan::PlanReport report = plan::verify(f.to_plan(), Model::kReceiveTwo);
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(report.max_concurrent, 1);
   EXPECT_DOUBLE_EQ(report.peak_buffer, 0.0);

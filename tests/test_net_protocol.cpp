@@ -245,9 +245,11 @@ TEST(NetWire, TicketRoundTripsBitExactly) {
   t.guarantee_wait = 0.125;
   t.deferred_slots = 3;
   t.degraded = true;
-  t.program = 9;
   util::SnapshotWriter w;
   server::write_ticket(w, t);
+  // bool + 2 x i64 + 5 x f64 + i64 + bool: the TICKET payload after the
+  // request id.
+  EXPECT_EQ(w.size(), 66u);
   util::SnapshotReader r(w.payload());
   const server::Ticket got = server::read_ticket(r);
   r.expect_end();
@@ -261,7 +263,6 @@ TEST(NetWire, TicketRoundTripsBitExactly) {
   EXPECT_EQ(got.guarantee_wait, t.guarantee_wait);
   EXPECT_EQ(got.deferred_slots, t.deferred_slots);
   EXPECT_EQ(got.degraded, t.degraded);
-  EXPECT_EQ(got.program, t.program);
 }
 
 // The generic-policy sentinel ticket (fields -1.0: "decided at the next
@@ -284,7 +285,6 @@ TEST(NetWire, SentinelTicketRoundTrips) {
   EXPECT_EQ(got.wait, -1.0);
   EXPECT_EQ(got.guarantee_wait, -1.0);
   EXPECT_EQ(got.slot, -1);
-  EXPECT_EQ(got.program, -1);
 }
 
 TEST(NetWire, LiveStatsRoundTrip) {

@@ -1,13 +1,17 @@
-// Tests for the O(1) receiving-program lookup table and the event-driven
-// Delay Guaranteed server (Section 4.2's simplicity claim, executable).
+// Tests for the O(1) receiving-program lookup table and Delay Guaranteed
+// serving through the live core (Section 4.2's simplicity claim,
+// executable): every ticket is a slot lookup whose program is a table
+// entry.
 #include "online/program_table.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
-#include "online/server.h"
+#include "online/policy.h"
 #include "schedule/playback.h"
+#include "server/server_core.h"
 
 namespace smerge {
 namespace {
@@ -59,71 +63,76 @@ TEST(ProgramTable, LookupValidation) {
   EXPECT_THROW(table.program_at(-1), std::out_of_range);
 }
 
+/// A one-object core serving DelayGuaranteedPolicy at `delay` = 1/L.
+server::ServerCoreConfig dg_core_config(double delay, double horizon) {
+  server::ServerCoreConfig config;
+  config.objects = 1;
+  config.delay = delay;
+  config.horizon = horizon;
+  return config;
+}
+
 TEST(Server, WaitIsAlwaysWithinOneSlot) {
-  DelayGuaranteedServer server(100, 0.01);
+  DelayGuaranteedPolicy dg;
+  const server::ServerCore core(dg_core_config(0.01, 8.0), dg);
   double t = 0.0;
   for (int i = 0; i < 500; ++i) {
     t += 0.0137;  // irrational-ish stride hits many slot phases
-    const ClientTicket ticket = server.admit(t);
-    EXPECT_GT(ticket.wait, -1e-12);
+    const server::Ticket ticket = core.preview_admission(0, t);
+    EXPECT_GE(ticket.wait, 0.0);
     EXPECT_LE(ticket.wait, 0.01 + 1e-12);
-    EXPECT_NEAR(ticket.playback_start, static_cast<double>(ticket.slot + 1) * 0.01,
-                1e-12);
-    // The ticket's program is a stable index into the table, valid for
-    // the server's lifetime (never a pointer that growth could dangle).
-    ASSERT_GE(ticket.program, 0);
-    ASSERT_LT(ticket.program, server.programs().block_size());
+    EXPECT_NEAR(ticket.playback_start,
+                static_cast<double>(ticket.slot + 1) * 0.01, 1e-12);
   }
-  EXPECT_EQ(server.clients(), 500);
 }
 
 TEST(Server, BoundaryArrivalJoinsStartingStream) {
-  DelayGuaranteedServer server(100, 0.01);
-  const ClientTicket ticket = server.admit(0.05);  // exactly slot 4's end
+  DelayGuaranteedPolicy dg;
+  const server::ServerCore core(dg_core_config(0.01, 1.0), dg);
+  const server::Ticket ticket = core.preview_admission(0, 0.05);  // slot 4's end
   EXPECT_EQ(ticket.slot, 4);
   EXPECT_NEAR(ticket.wait, 0.0, 1e-9);
 }
 
-TEST(Server, ProgramsComeFromTheTable) {
-  DelayGuaranteedServer server(15, 1.0);
-  const ClientTicket ticket = server.admit(6.5);  // slot 6, position 6
-  EXPECT_EQ(ticket.slot, 6);
-  EXPECT_EQ(ticket.program, 6);
-  EXPECT_EQ(server.programs().lookup(ticket.program).blocks,
-            server.programs().lookup(6).blocks);
-}
-
-TEST(Server, CostMatchesPolicy) {
-  DelayGuaranteedServer server(15, 0.25);
-  EXPECT_EQ(server.transmitted_units(16), server.policy().cost(16));
-  EXPECT_EQ(server.transmitted_units(0), 0);
-}
-
 TEST(Server, RejectsOutOfOrderArrivals) {
-  DelayGuaranteedServer server(15, 1.0);
-  server.admit(5.0);
-  EXPECT_THROW(server.admit(4.0), std::invalid_argument);
-  EXPECT_THROW(server.admit(-1.0), std::invalid_argument);
-  EXPECT_THROW(DelayGuaranteedServer(15, 0.0), std::invalid_argument);
+  DelayGuaranteedPolicy dg;
+  server::ServerCore core(dg_core_config(1.0 / 15.0, 2.0), dg);
+  (void)core.admit(0, 5.0 / 15.0);
+  EXPECT_THROW((void)core.admit(0, 4.0 / 15.0), std::invalid_argument);
+  EXPECT_THROW((void)core.admit(0, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)core.preview_admission(0, -1.0), std::invalid_argument);
+  EXPECT_THROW(server::ServerCore(dg_core_config(0.0, 2.0), dg),
+               std::invalid_argument);
 }
 
 TEST(Server, ServedProgramsPlayBackCorrectly) {
-  // End to end: admit clients over three blocks, then verify each issued
-  // program against the actual transmission schedule.
+  // End to end: preview clients over three blocks, then verify the
+  // program of each previewed slot against the actual transmission
+  // schedule (slot units: media length L, slot duration 1/L).
   const Index L = 15;
-  DelayGuaranteedServer server(L, 1.0);
+  const double delay = 1.0 / static_cast<double>(L);
   const Index horizon = 20;
-  std::vector<ClientTicket> tickets;
-  for (double t = 0.4; t < static_cast<double>(horizon); t += 1.7) {
-    tickets.push_back(server.admit(t));
-  }
-  const MergeForest forest = server.policy().forest(horizon);
+  DelayGuaranteedPolicy dg;
+  const server::ServerCore core(
+      dg_core_config(delay, static_cast<double>(horizon) * delay), dg);
+  const DelayGuaranteedOnline online(L);
+  const ProgramTable table(online);
+  const MergeForest forest = online.forest(horizon);
   const StreamSchedule schedule(forest);
-  for (const ClientTicket& ticket : tickets) {
+  int clients = 0;
+  for (double t = 0.4; t < static_cast<double>(horizon); t += 1.7) {
+    const server::Ticket ticket = core.preview_admission(0, t * delay);
+    ASSERT_GE(ticket.slot, 0);
+    ASSERT_LT(ticket.slot, horizon);
     const ReceivingProgram fresh(forest, ticket.slot);
-    const ClientReport report = verify_client(schedule, fresh, Model::kReceiveTwo);
+    const ClientReport report =
+        verify_client(schedule, fresh, Model::kReceiveTwo);
     EXPECT_TRUE(report.ok) << report.error;
+    // The lookup table hands out the same program in O(1).
+    EXPECT_EQ(table.program_at(ticket.slot), fresh.receptions());
+    ++clients;
   }
+  EXPECT_EQ(clients, 12);
 }
 
 }  // namespace

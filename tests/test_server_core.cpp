@@ -1,13 +1,15 @@
 // Tests for the live serving runtime: the incremental channel ledger
 // against the legacy end-of-run reduction, mid-run queries (running P²
 // percentiles vs exact sorted quantiles), capacity-aware admission
-// semantics, and the engine/DG-server adapters' equivalence.
+// semantics, admission previews, and the pinned snapshot and checkpoint
+// bytes.
 #include "server/server_core.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -15,12 +17,12 @@
 #include <utility>
 #include <vector>
 
-#include "online/server.h"
 #include "server/channel_ledger.h"
 #include "server/wire.h"
 #include "sim/engine.h"
 #include "sim/workload.h"
 #include "util/rng.h"
+#include "util/snapshot.h"
 #include "util/stats.h"
 
 namespace smerge::server {
@@ -487,33 +489,6 @@ TEST(ServerCore, ObserveModeCountsInsteadOfRejecting) {
   EXPECT_EQ(snap.guarantee_violations, 0);
 }
 
-TEST(ServerCore, SlottedDgMatchesDelayGuaranteedServer) {
-  // The adapter and a hand-driven slotted-DG core agree on every ticket
-  // and on the live ledger peak.
-  DelayGuaranteedServer server(15, 1.0);
-  ServerCoreConfig config;
-  config.objects = 1;
-  config.delay = 1.0;
-  config.horizon = 0.0;
-  config.serve = ServeMode::kSlottedDg;
-  config.dg_media_slots = 15;
-  ServerCore core(config);
-  for (double t = 0.3; t < 40.0; t += 1.3) {
-    const ClientTicket a = server.admit(t);
-    const Ticket b = core.admit(0, t);
-    EXPECT_EQ(a.slot, b.slot);
-    EXPECT_EQ(a.program, b.program);
-    EXPECT_DOUBLE_EQ(a.playback_start, b.playback_start);
-    EXPECT_DOUBLE_EQ(a.wait, b.wait);
-  }
-  EXPECT_EQ(server.clients(), core.object_clients(0));
-  EXPECT_EQ(server.last_slot(), core.object_last_slot(0));
-  EXPECT_EQ(server.peak_channels(), core.peak_channels());
-  EXPECT_GT(server.peak_channels(), 0);
-  // The DG schedule's cost query stays the closed form.
-  EXPECT_EQ(server.transmitted_units(30), server.policy().cost(30));
-}
-
 TEST(ServerCore, Validation) {
   ServerCoreConfig config;
   config.objects = 0;
@@ -541,7 +516,6 @@ TEST(ServerCore, Validation) {
   config = ServerCoreConfig{};
   ServerCore generic(config, policy);
   EXPECT_THROW((void)generic.take_snapshot(), std::logic_error);
-  EXPECT_THROW((void)generic.dg_policy(), std::logic_error);
 }
 
 // --- Admission preview vs the drained decision ------------------------------
@@ -673,14 +647,79 @@ TEST(ServerCore, PreviewLeavesDrainDecidedPoliciesOpen) {
   EXPECT_THROW((void)core.preview_admission(0, -1.0), std::invalid_argument);
 }
 
+// --- Slot tickets at slot boundaries ---------------------------------------
+
+// Both slot tickets a client can be handed — the preview the wire stamps
+// and the serial admit() — agree field for field and never report a
+// negative wait (the wire's "decided at drain" sentinel), also for
+// arrivals a hair past a slot boundary: dg_slot_of serves those from the
+// stream starting on that boundary, and batch_start_of can round to a
+// start just below them (0.03 + 1 ulp at delay 0.01). A slotted-batching
+// core admits by the DG slot mapping, so it must preview by it too.
+TEST(ServerCore, SlotTicketsMatchAdmitAtBoundaries) {
+  std::vector<std::vector<double>> traces = preview_corpus();
+  traces.push_back(
+      {0.0, std::nextafter(0.03, 1.0), 0.05 + 1e-16, 0.07, 0.3 + 5e-17});
+  ServerCoreConfig config;
+  config.objects = static_cast<Index>(traces.size());
+  config.delay = 0.01;
+  config.horizon = 8.0;
+  DelayGuaranteedPolicy dg;
+  ServerCore dg_core(config, dg);
+  BatchingPolicy batching;
+  ServerCore batching_core(config, batching);
+  config.serve = ServeMode::kSlottedBatching;  // observe: admits everything
+  ServerCore slotted_core(config);
+  int tickets = 0;
+  for (ServerCore* core : {&dg_core, &batching_core, &slotted_core}) {
+    const bool slotted = core == &slotted_core;
+    for (Index m = 0; m < config.objects; ++m) {
+      for (const double t : traces[static_cast<std::size_t>(m)]) {
+        SCOPED_TRACE(std::string(core == &dg_core         ? "dg"
+                                 : core == &batching_core ? "batching"
+                                                          : "slotted") +
+                     " object=" + std::to_string(m) + " t=" +
+                     std::to_string(t));
+        const Ticket preview = core->preview_admission(m, t);
+        const Ticket admitted = core->admit(m, t);
+        EXPECT_EQ(preview.admitted, admitted.admitted);
+        EXPECT_EQ(preview.object, admitted.object);
+        EXPECT_EQ(preview.arrival, admitted.arrival);
+        EXPECT_EQ(preview.decision_time, admitted.decision_time);
+        EXPECT_EQ(preview.playback_start, admitted.playback_start);
+        EXPECT_EQ(preview.wait, admitted.wait);
+        EXPECT_EQ(preview.guarantee_wait, admitted.guarantee_wait);
+        EXPECT_EQ(preview.deferred_slots, admitted.deferred_slots);
+        EXPECT_EQ(preview.degraded, admitted.degraded);
+        // The policy path's admit() assigns no slot; the slotted one does.
+        if (slotted) {
+          EXPECT_EQ(preview.slot, admitted.slot);
+        }
+        // With the fields equal, this holds for the preview too.
+        EXPECT_GE(admitted.wait, 0.0);
+        EXPECT_GE(admitted.guarantee_wait, 0.0);
+        ++tickets;
+      }
+    }
+  }
+  EXPECT_GT(tickets, 6000);
+}
+
 // --- The finish oracle, recorded digests ------------------------------------
 
-// Small fixed runs whose snapshot digests were recorded before finish()
-// gained its bucket-partitioned ledger fill and selection-based
-// quantiles. Every shard width must still land on the same bytes: the
+// Small fixed runs whose snapshot digests and mid-run checkpoint bytes
+// were recorded before the slotted Delay Guaranteed serving mode was
+// retired (the digests of the three policy runs date back to before
+// finish() gained its bucket-partitioned ledger fill and selection-based
+// quantiles). Every shard width must still land on the same bytes: the
 // fold order, the ledger's canonical event order and the nearest-rank
 // percentiles are unchanged.
-enum class DigestRun { kGreedyBatched, kDgPolicy, kSlottedDg, kSessions };
+enum class DigestRun {
+  kGreedyBatched,
+  kDgPolicy,
+  kSlottedBatchingDefer,
+  kSessions
+};
 
 sim::WorkloadConfig digest_workload() {
   sim::WorkloadConfig workload;
@@ -692,7 +731,10 @@ sim::WorkloadConfig digest_workload() {
   return workload;
 }
 
-Snapshot digest_snapshot(DigestRun run, unsigned shards) {
+/// Drives one pinned run to its end. `mid_checkpoint`, when given,
+/// receives a checkpoint taken partway through the run.
+Snapshot digest_snapshot(DigestRun run, unsigned shards,
+                         std::vector<std::uint8_t>* mid_checkpoint = nullptr) {
   const sim::WorkloadConfig workload = digest_workload();
   const std::vector<double> weights =
       sim::zipf_weights(workload.objects, workload.zipf_exponent);
@@ -712,8 +754,10 @@ Snapshot digest_snapshot(DigestRun run, unsigned shards) {
     case DigestRun::kDgPolicy:
       core = std::make_unique<ServerCore>(config, dg);
       break;
-    case DigestRun::kSlottedDg:
-      config.serve = ServeMode::kSlottedDg;
+    case DigestRun::kSlottedBatchingDefer:
+      config.serve = ServeMode::kSlottedBatching;
+      config.admission = AdmissionMode::kDefer;
+      config.channel_capacity = 280;
       core = std::make_unique<ServerCore>(config);
       break;
     case DigestRun::kSessions:
@@ -721,7 +765,10 @@ Snapshot digest_snapshot(DigestRun run, unsigned shards) {
       core = std::make_unique<ServerCore>(config, greedy);
       break;
   }
-  if (run == DigestRun::kSlottedDg) {
+  const auto capture = [&] {
+    if (mid_checkpoint != nullptr) *mid_checkpoint = core->checkpoint();
+  };
+  if (run == DigestRun::kSlottedBatchingDefer) {
     // The serial live path, in global arrival order.
     std::vector<std::pair<double, Index>> order;
     for (Index m = 0; m < workload.objects; ++m) {
@@ -731,7 +778,10 @@ Snapshot digest_snapshot(DigestRun run, unsigned shards) {
       }
     }
     std::sort(order.begin(), order.end());
-    for (const auto& [t, m] : order) (void)core->admit(m, t);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i == order.size() / 2) capture();
+      (void)core->admit(order[i].second, order[i].first);
+    }
   } else if (run == DigestRun::kSessions) {
     sim::SessionChurnConfig churn;
     churn.abandon_rate = 0.25;
@@ -742,6 +792,8 @@ Snapshot digest_snapshot(DigestRun run, unsigned shards) {
           m, sim::generate_sessions(workload, churn, m,
                                     weights[static_cast<std::size_t>(m)]));
     }
+    core->drain();  // what finish() would do first
+    capture();
   } else {
     // Three waves: the first two end in live queries (a flushed,
     // sorted ledger), the last leaves its buckets dirty for finish().
@@ -758,24 +810,33 @@ Snapshot digest_snapshot(DigestRun run, unsigned shards) {
       }
       core->drain();
       if (wave < 2) (void)core->live_stats();
+      if (wave == 1) capture();
     }
   }
   core->finish();
   return core->take_snapshot();
 }
 
+struct PinnedRun {
+  DigestRun run;
+  const char* name;
+  std::uint64_t digest;      ///< snapshot_digest after finish()
+  std::uint64_t checkpoint;  ///< fnv1a64 of the mid-run checkpoint, shards 1
+};
+
+constexpr PinnedRun kPinnedRuns[] = {
+    {DigestRun::kGreedyBatched, "greedy-batched", 0xcc4f567a182347d6ull,
+     0x5454d66873f483c5ull},
+    {DigestRun::kDgPolicy, "dg-policy", 0xb3721ed08361dab0ull,
+     0x0faf5618f5c7157dull},
+    {DigestRun::kSlottedBatchingDefer, "slotted-batching-defer",
+     0x5f8a23071d882bebull, 0xf51315288fb06ebaull},
+    {DigestRun::kSessions, "sessions", 0xe3a2656da12601abull,
+     0x7731d511be19985bull},
+};
+
 TEST(ServerCore, FinishDigestsArePinned) {
-  const struct {
-    DigestRun run;
-    const char* name;
-    std::uint64_t digest;
-  } cases[] = {
-      {DigestRun::kGreedyBatched, "greedy-batched", 0xcc4f567a182347d6ull},
-      {DigestRun::kDgPolicy, "dg-policy", 0xb3721ed08361dab0ull},
-      {DigestRun::kSlottedDg, "slotted-dg", 0xd02747c7c9161e9cull},
-      {DigestRun::kSessions, "sessions", 0xe3a2656da12601abull},
-  };
-  for (const auto& c : cases) {
+  for (const PinnedRun& c : kPinnedRuns) {
     for (const unsigned shards : {1u, 2u, 4u}) {
       SCOPED_TRACE(std::string(c.name) + " shards=" + std::to_string(shards));
       const Snapshot snap = digest_snapshot(c.run, shards);
@@ -784,12 +845,69 @@ TEST(ServerCore, FinishDigestsArePinned) {
       if (c.run == DigestRun::kGreedyBatched) {
         EXPECT_GT(snap.capacity_violations, 0);
       }
+      if (c.run == DigestRun::kSlottedBatchingDefer) {
+        EXPECT_GT(snap.deferrals, 0);
+        EXPECT_GT(snap.rejected, 0);
+      }
       if (c.run == DigestRun::kSessions) {
         EXPECT_GT(snap.plan_truncations, 0);
         EXPECT_GT(snap.plan_reroots, 0);
       }
     }
   }
+}
+
+// The checkpoint bytes themselves — config echo, counters, P² markers,
+// ledger and every object's record — for each pinned run, so a layout
+// change shows across commits, not only as a save/restore round trip.
+TEST(ServerCore, CheckpointBytesArePinned) {
+  for (const PinnedRun& c : kPinnedRuns) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::uint8_t> frame;
+    (void)digest_snapshot(c.run, 1, &frame);
+    ASSERT_FALSE(frame.empty());
+    EXPECT_EQ(util::fnv1a64(frame), c.checkpoint);
+  }
+}
+
+// The smerge-ckpt-v1 layout keeps the positions of the retired slotted
+// Delay Guaranteed mode (serve byte 1, its media-slot count, each
+// object's emitted-slot cursor); restore refuses a frame that uses them.
+TEST(ServerCore, RetiredSlottedDgCheckpointFieldsAreRefused) {
+  ServerCoreConfig config;
+  config.serve = ServeMode::kSlottedBatching;
+  const std::vector<std::uint8_t> frame = ServerCore(config).checkpoint();
+  util::SnapshotReader reader =
+      util::SnapshotReader::open(frame, "smerge-ckpt-v1");
+  const auto body = reader.raw(reader.remaining());
+  // The serve byte follows objects, delay, horizon and shards; the
+  // media-slot count (little-endian i64 0) follows capacity, admission,
+  // defer slots and bucket width. The idle object's record ends the
+  // payload: its cursor (i64 -1), a zero slot-flag count, an empty blob.
+  const std::size_t serve = 32;
+  const std::size_t media_slots = 58;
+  const std::size_t cursor = body.size() - 24;
+  ASSERT_EQ(body[serve], 2);
+  ASSERT_EQ(body[media_slots], 0);
+  ASSERT_EQ(body[cursor], 0xff);
+  const auto restore_patched = [&](std::size_t at, std::uint8_t byte) {
+    std::vector<std::uint8_t> payload(body.begin(), body.end());
+    payload[at] = byte;
+    util::SnapshotWriter w;
+    w.raw(payload);
+    (void)ServerCore(config).restore_state(w.frame("smerge-ckpt-v1"));
+  };
+  EXPECT_NO_THROW(restore_patched(serve, 2));
+  try {
+    restore_patched(serve, 1);
+    ADD_FAILURE() << "a slotted-DG serve byte was restored";
+  } catch (const util::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("config mismatch: serve"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(restore_patched(media_slots, 15), util::SnapshotError);
+  EXPECT_THROW(restore_patched(cursor, 3), util::SnapshotError);
 }
 
 }  // namespace

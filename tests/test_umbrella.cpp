@@ -19,13 +19,18 @@ TEST(Umbrella, EndToEndPipeline) {
   EXPECT_EQ(max_buffer_requirement(forest), 7);
   EXPECT_NE(concrete_diagram(forest).find("A (t=0):"), std::string::npos);
 
-  // On-line: server issues table programs (stable indices) with
-  // bounded waits.
-  DelayGuaranteedServer server(15, 1.0);
-  const ClientTicket ticket = server.admit(6.25);
-  EXPECT_LE(ticket.wait, 1.0);
-  EXPECT_EQ(ticket.program, 6);
-  EXPECT_FALSE(server.programs().lookup(ticket.program).blocks.empty());
+  // On-line: the live core serves Delay Guaranteed with bounded waits;
+  // each ticket's slot indexes the O(1) program table.
+  DelayGuaranteedPolicy delay_guaranteed;
+  server::ServerCoreConfig config;
+  config.delay = 1.0 / 15.0;
+  config.horizon = 1.0;
+  const server::ServerCore core(config, delay_guaranteed);
+  const server::Ticket ticket = core.preview_admission(0, 6.25 / 15.0);
+  EXPECT_LE(ticket.wait, config.delay);
+  EXPECT_EQ(ticket.slot, 6);
+  const ProgramTable programs{DelayGuaranteedOnline(15)};
+  EXPECT_FALSE(programs.program_at(ticket.slot).empty());
 
   // General arrivals: dyadic vs the off-line optimum, continuously
   // verified.
@@ -34,7 +39,7 @@ TEST(Umbrella, EndToEndPipeline) {
   for (const double t : arrivals) dyadic.arrive(t);
   const double opt = merging::optimal_general_cost(arrivals, 1.0);
   EXPECT_LE(opt, dyadic.total_cost() + 1e-9);
-  EXPECT_TRUE(merging::verify_continuous_forest(dyadic.forest()).ok);
+  EXPECT_TRUE(plan::verify(dyadic.forest().to_plan(), Model::kReceiveTwo).ok);
 
   // Simulation + utilities.
   const sim::BandwidthResult dg = sim::run_delay_guaranteed(0.05, 10.0);

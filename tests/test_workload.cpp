@@ -143,6 +143,19 @@ TEST(Workload, ExpectedArrivalsTracksActualCounts) {
   }
 }
 
+TEST(ZipfWeights, NormalizedAndDecreasing) {
+  const auto w = zipf_weights(8, 1.0);
+  ASSERT_EQ(w.size(), 8u);
+  EXPECT_NEAR(std::accumulate(w.begin(), w.end(), 0.0), 1.0, 1e-12);
+  for (std::size_t i = 1; i < w.size(); ++i) {
+    EXPECT_LT(w[i], w[i - 1]);
+  }
+  // Uniform when the exponent is zero.
+  const auto u = zipf_weights(4, 0.0);
+  for (const double x : u) EXPECT_NEAR(x, 0.25, 1e-12);
+  EXPECT_THROW(zipf_weights(0, 1.0), std::invalid_argument);
+}
+
 TEST(Workload, Validation) {
   WorkloadConfig config = base_config();
   config.objects = 0;
