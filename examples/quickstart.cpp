@@ -6,7 +6,7 @@
 //   1. compute the optimal merge forest (36 stream-slots, one full stream),
 //   2. print the Fig.-4 merge tree and the Fig.-3 concrete diagram,
 //   3. print each client's receiving program,
-//   4. verify playback segment by segment.
+//   4. verify playback of every client with the plan verifier.
 //
 // Run:  ./quickstart [--media-slots=15] [--slots=8]
 #include <cstdlib>
@@ -14,8 +14,8 @@
 
 #include "core/buffer.h"
 #include "core/full_cost.h"
+#include "core/plan.h"
 #include "schedule/diagram.h"
-#include "schedule/playback.h"
 #include "util/cli.h"
 
 int main(int argc, char** argv) {
@@ -51,18 +51,18 @@ int main(int argc, char** argv) {
     std::cout << "Concrete transmission diagram (cf. Fig. 3):\n"
               << concrete_diagram(forest) << '\n';
 
+    const plan::MergePlan merge_plan = forest.to_plan();
     std::cout << "Receiving programs (segments <- stream):\n";
     for (Index a = 0; a < n; ++a) {
-      const ReceivingProgram prog(forest, a);
       const Index d = a - forest.tree_offset(forest.tree_of(a));
-      std::cout << "  " << prog.to_string()
+      std::cout << "  client " << a << ": " << program_text(merge_plan, a)
                 << "   buffer <= " << buffer_requirement(d, L) << " slots\n";
     }
 
     std::cout << "\nClient-side view of the last arrival:\n"
               << client_timeline(forest, n - 1);
 
-    const ForestReport report = verify_forest(forest);
+    const plan::PlanReport report = plan::verify(merge_plan);
     std::cout << "\nPlayback verification: " << (report.ok ? "OK" : "FAILED")
               << " (" << report.clients << " clients, peak "
               << report.max_concurrent << " concurrent streams per client, "

@@ -18,8 +18,9 @@
 
 #include "core/buffer.h"
 #include "core/full_cost.h"
+#include "core/plan.h"
 #include "schedule/diagram.h"
-#include "schedule/playback.h"
+#include "schedule/stream_schedule.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -85,12 +86,13 @@ int main(int argc, char** argv) {
       std::cout << '\n' << concrete_diagram(forest);
     }
 
+    const plan::MergePlan merge_plan = forest.to_plan();
     std::cout << "\nSample receiving programs:\n";
     for (const Index a : {Index{0}, n / 2, n - 1}) {
-      std::cout << "  " << ReceivingProgram(forest, a).to_string() << '\n';
+      std::cout << "  client " << a << ": " << program_text(merge_plan, a) << '\n';
     }
 
-    const ForestReport report = verify_forest(forest);
+    const plan::PlanReport report = plan::verify(merge_plan);
     std::cout << "\nPlayback verification: " << (report.ok ? "OK" : "FAILED")
               << "; worst client buffer " << report.peak_buffer << " slots ("
               << report.peak_buffer * delay << " min)\n";

@@ -51,7 +51,7 @@ class MergeForest {
 
   /// True iff every tree is a feasible L-tree under `model` (all stream
   /// lengths at most L). The constructor only enforces the span condition;
-  /// the schedule/playback layer additionally requires this.
+  /// `plan::verify` flags the streams that break it.
   [[nodiscard]] bool feasible(Model model = Model::kReceiveTwo) const;
 
   /// The canonical-IR view: stream id = global arrival, start = arrival

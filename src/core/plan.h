@@ -20,9 +20,9 @@
 //    (the pieces of every client's receiving program partition
 //    (0, L]), the Section-3.3 buffer bound b(x) = min(d, L - d),
 //    receive-two vs receive-all legality, merge completion in time,
-//    and the exact total cost / peak bandwidth. It subsumes the
-//    continuous-forest checks of `merging/continuous_playback` and
-//    the per-forest `total_cost` / `peak_concurrency` walks.
+//    and the exact total cost / peak bandwidth. It is the one home of
+//    receiving programs (`client_program`) and playback checks, for
+//    slot-aligned plans as much as continuous ones.
 //
 // Units are whatever the producer used: slots for the delay-guaranteed
 // substrate (media length L, integer starts), normalized media lengths

@@ -3,43 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "schedule/diagram.h"
-
 namespace smerge {
-
-ChannelAssignment assign_channels(const StreamSchedule& schedule) {
-  ChannelAssignment out;
-  out.channel_of.assign(static_cast<std::size_t>(schedule.size()), -1);
-
-  // Streams are already ordered by start time (stream id == arrival).
-  // free_at: min-heap of (end, channel) for channels in use; idle
-  // channels queue up for reuse in LIFO order (better locality).
-  using EndChannel = std::pair<Index, Index>;
-  std::priority_queue<EndChannel, std::vector<EndChannel>, std::greater<>> busy;
-  std::vector<Index> idle;
-
-  for (Index x = 0; x < schedule.size(); ++x) {
-    const StreamWindow& w = schedule.stream(x);
-    while (!busy.empty() && busy.top().first <= w.start) {
-      idle.push_back(busy.top().second);
-      busy.pop();
-    }
-    Index channel;
-    if (!idle.empty()) {
-      channel = idle.back();
-      idle.pop_back();
-    } else {
-      channel = out.channels_used++;
-    }
-    out.channel_of[static_cast<std::size_t>(x)] = channel;
-    busy.emplace(w.end(), channel);
-  }
-  return out;
-}
 
 ChannelAssignment assign_channels(const std::vector<StreamInterval>& intervals) {
   ChannelAssignment out;
@@ -98,27 +65,6 @@ Index peak_overlap(std::vector<ChannelEvent>& events) {
     if (depth > peak) peak = depth;
   }
   return peak;
-}
-
-std::string render_channel_plan(const StreamSchedule& schedule,
-                                const ChannelAssignment& assignment) {
-  std::vector<std::vector<Index>> per_channel(
-      static_cast<std::size_t>(assignment.channels_used));
-  for (Index x = 0; x < schedule.size(); ++x) {
-    per_channel[static_cast<std::size_t>(
-                    assignment.channel_of[static_cast<std::size_t>(x)])]
-        .push_back(x);
-  }
-  std::ostringstream os;
-  for (std::size_t c = 0; c < per_channel.size(); ++c) {
-    os << "channel " << c << ":";
-    for (const Index x : per_channel[c]) {
-      const StreamWindow& w = schedule.stream(x);
-      os << ' ' << stream_name(x) << '[' << w.start << ',' << w.end() << ')';
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace smerge

@@ -8,11 +8,9 @@
 #ifndef SMERGE_SCHEDULE_CHANNELS_H
 #define SMERGE_SCHEDULE_CHANNELS_H
 
-#include <string>
 #include <vector>
 
 #include "core/plan.h"
-#include "schedule/stream_schedule.h"
 
 namespace smerge {
 
@@ -24,10 +22,6 @@ struct ChannelAssignment {
   friend bool operator==(const ChannelAssignment&, const ChannelAssignment&) = default;
 };
 
-/// Assigns every stream of the schedule to a channel; the result uses
-/// exactly `schedule.peak_bandwidth()` channels (interval scheduling).
-[[nodiscard]] ChannelAssignment assign_channels(const StreamSchedule& schedule);
-
 /// A continuous-time transmission interval [start, end), the channel
 /// occupancy unit of the simulation engine (src/sim/engine.h).
 struct StreamInterval {
@@ -36,8 +30,8 @@ struct StreamInterval {
 };
 
 /// Greedy channel assignment over raw intervals, sorted by start time by
-/// the caller (ties allowed): the continuous-time analogue of the
-/// schedule overload, again using exactly the peak-overlap many channels.
+/// the caller (ties allowed): earliest start first, reusing the channel
+/// freed the earliest, so it uses exactly the peak-overlap many channels.
 [[nodiscard]] ChannelAssignment assign_channels(
     const std::vector<StreamInterval>& intervals);
 
@@ -57,11 +51,6 @@ struct ChannelEvent {
 /// `events`. Sorts `events` in place (time ascending, ends before starts
 /// at equal times, so back-to-back hops reuse a channel).
 [[nodiscard]] Index peak_overlap(std::vector<ChannelEvent>& events);
-
-/// Renders a per-channel timeline: one row per channel listing the
-/// streams it carries as "name[start,end)" hops.
-[[nodiscard]] std::string render_channel_plan(const StreamSchedule& schedule,
-                                              const ChannelAssignment& assignment);
 
 }  // namespace smerge
 

@@ -1,9 +1,11 @@
 #include "schedule/diagram.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <vector>
 
-#include "schedule/receiving_program.h"
+#include "core/plan.h"
 #include "schedule/stream_schedule.h"
 
 namespace smerge {
@@ -55,14 +57,47 @@ std::string concrete_diagram(const MergeForest& forest, Model model) {
   return os.str();
 }
 
+namespace {
+
+/// One block of a slot-aligned receiving program: segments first..last
+/// read from `stream`.
+struct Block {
+  Index stream;
+  Index first;  ///< first segment (1-based)
+  Index last;   ///< last segment, inclusive
+};
+
+/// The client's program on a slot-aligned plan (stream id = start slot,
+/// as `MergeForest::to_plan` emits): a piece (from, to] taken from
+/// stream s is segments from+1..to, with segment j on the air during
+/// slot s + j - 1.
+std::vector<Block> segment_blocks(const plan::MergePlan& p, Index client, Model model) {
+  std::vector<Block> blocks;
+  for (const plan::Piece& piece : plan::client_program(p, client, model)) {
+    blocks.push_back(Block{piece.stream, static_cast<Index>(std::llround(piece.from)) + 1,
+                           static_cast<Index>(std::llround(piece.to))});
+  }
+  return blocks;
+}
+
+}  // namespace
+
+std::string program_text(const plan::MergePlan& p, Index client, Model model) {
+  std::ostringstream os;
+  for (const Block& b : segment_blocks(p, client, model)) {
+    if (os.tellp() > 0) os << ' ';
+    os << '[' << b.first << ',' << b.last << "]<-" << b.stream;
+  }
+  return os.str();
+}
+
 std::string client_timeline(const MergeForest& forest, Index arrival, Model model) {
-  const ReceivingProgram program(forest, arrival, model);
+  const std::vector<Block> blocks =
+      segment_blocks(forest.to_plan(model), arrival, model);
   const Index a = arrival;
   const Index L = forest.media_length();
   Index end = a;  // one past the last reception slot
-  for (const Reception& r : program.receptions()) {
-    end = std::max(end, r.end_slot());
-  }
+  for (const Block& b : blocks) end = std::max(end, b.stream + b.last);
 
   const std::size_t cell = std::to_string(std::max(L, end - 1)).size() + 1;
   const auto pad = [cell](const std::string& s) {
@@ -70,8 +105,8 @@ std::string client_timeline(const MergeForest& forest, Index arrival, Model mode
   };
   std::vector<std::string> labels;
   std::size_t margin = std::string("buffer:").size();
-  for (const Reception& r : program.receptions()) {
-    labels.push_back("from " + stream_name(r.stream) + ":");
+  for (const Block& b : blocks) {
+    labels.push_back("from " + stream_name(b.stream) + ":");
     margin = std::max(margin, labels.back().size());
   }
   margin = std::max(margin, std::string("t:").size());
@@ -83,32 +118,27 @@ std::string client_timeline(const MergeForest& forest, Index arrival, Model mode
   for (Index t = a; t < end; ++t) os << pad(std::to_string(t));
   os << '\n';
 
-  // One row per reception block: segment j sits at slot r.slot_of(j).
-  for (std::size_t b = 0; b < program.receptions().size(); ++b) {
-    const Reception& r = program.receptions()[b];
-    const std::string& label = labels[b];
+  // One row per reception block.
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const Block& b = blocks[i];
+    const std::string& label = labels[i];
     std::string line = std::string(margin - label.size(), ' ') + label;
     for (Index t = a; t < end; ++t) {
-      const Index j = t - r.stream + 1;  // segment on the air at slot t
-      if (j >= r.first_part && j <= r.last_part) {
-        line += pad(std::to_string(j));
-      } else {
-        line += pad("");
-      }
+      const Index j = t - b.stream + 1;  // segment on the air at slot t
+      line += pad(j >= b.first && j <= b.last ? std::to_string(j) : "");
     }
     while (!line.empty() && line.back() == ' ') line.pop_back();
     os << line << '\n';
   }
 
   // Buffer occupancy at the end of each slot: segments fully received
-  // minus segments fully played.
+  // (segment j of stream s completes at slot boundary s + j) minus
+  // segments fully played.
   os << std::string(margin - 7, ' ') << "buffer:";
   for (Index t = a + 1; t <= end; ++t) {
     Index received = 0;
-    for (const Reception& r : program.receptions()) {
-      for (Index j = r.first_part; j <= r.last_part; ++j) {
-        if (r.slot_of(j) + 1 <= t) ++received;
-      }
+    for (const Block& b : blocks) {
+      received += std::clamp<Index>(t - b.stream, b.first - 1, b.last) - (b.first - 1);
     }
     const Index played = std::clamp<Index>(t - a, 0, L);
     os << pad(std::to_string(received - played));

@@ -12,6 +12,7 @@
 
 #include "core/merge_forest.h"
 #include "core/merge_tree.h"
+#include "core/plan.h"
 
 namespace smerge {
 
@@ -27,6 +28,14 @@ namespace smerge {
 /// Fig.-4 style tree rendering. `offset` shifts the displayed labels
 /// (global arrival times when the tree sits inside a forest).
 [[nodiscard]] std::string render_tree(const MergeTree& tree, Index offset = 0);
+
+/// A client's receiving program on a slot-aligned plan (stream id =
+/// start slot, as `MergeForest::to_plan` emits) as space-separated
+/// "[first,last]<-stream" blocks: a piece (from, to] taken from stream
+/// s is segments from+1..to. Throws std::out_of_range for an unknown
+/// client.
+[[nodiscard]] std::string program_text(const plan::MergePlan& p, Index client,
+                                       Model model = Model::kReceiveTwo);
 
 /// Per-client reception timeline: one row per source stream showing which
 /// segment arrives in which slot, plus a buffer-occupancy row — the

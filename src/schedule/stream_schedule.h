@@ -21,8 +21,6 @@ struct StreamWindow {
   Index start;   ///< slot at which the stream begins (its arrival time)
   Cost length;   ///< number of segments transmitted (1..L)
 
-  /// Slot during which segment `part` is on the air: [start+part-1, start+part).
-  [[nodiscard]] Index slot_of(Index part) const noexcept { return start + part - 1; }
   /// First slot after the stream ends.
   [[nodiscard]] Index end() const noexcept { return start + length; }
   friend bool operator==(const StreamWindow&, const StreamWindow&) = default;

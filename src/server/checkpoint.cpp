@@ -199,9 +199,7 @@ RecoveredCore recover(
        i < parsed.records.size(); ++i) {
     WalRecord& record = parsed.records[i];
     switch (record.type) {
-      case WalRecordType::kIngest:
-        out.core->ingest(record.object, record.times.front());
-        break;
+      case WalRecordType::kIngest:  // one arrival: a one-element trace
       case WalRecordType::kIngestTrace:
         out.core->ingest_trace(record.object, record.times);
         break;

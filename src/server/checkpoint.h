@@ -35,7 +35,7 @@ namespace smerge::server {
 
 /// What one WAL record describes.
 enum class WalRecordType : std::uint8_t {
-  kIngest = 1,          ///< one arrival: ingest(object, time)
+  kIngest = 1,          ///< one arrival: ingest_trace(object, {time})
   kIngestTrace = 2,     ///< a trace batch: ingest_trace(object, times)
   kIngestSessions = 3,  ///< a session batch: ingest_session_trace(...)
   kAdmit = 4,           ///< serial live path: admit(object, time)

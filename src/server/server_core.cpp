@@ -290,9 +290,6 @@ void ServerCore::validate() const {
   if (config_.max_defer_slots < 0) {
     throw std::invalid_argument("ServerCore: max_defer_slots must be >= 0");
   }
-  if (!(config_.ledger_bucket >= 0.0)) {
-    throw std::invalid_argument("ServerCore: ledger_bucket must be >= 0");
-  }
   if (config_.mailbox_capacity < 0) {
     throw std::invalid_argument("ServerCore: mailbox_capacity must be >= 0");
   }
@@ -335,8 +332,7 @@ ServerCore::ServerCore(const ServerCoreConfig& config) : config_(config) {
 }
 
 void ServerCore::build_objects(OnlinePolicy* policy) {
-  const double bucket =
-      config_.ledger_bucket > 0.0 ? config_.ledger_bucket : config_.delay;
+  const double bucket = config_.delay;  // one ledger bucket per slot
   // Streams can outlive the horizon by up to one media length plus the
   // defer slack; later times clamp into the ledger's final bucket,
   // which stays exact (only slower to scan). Open-ended cores
@@ -548,36 +544,6 @@ void ServerCore::repair_object_plan(ObjectState& state) {
 }
 
 // --- Ingest -----------------------------------------------------------------
-
-void ServerCore::ingest(Index object, double time) {
-  if (impl_->finished) throw std::logic_error("ServerCore: already finished");
-  if (config_.serve != ServeMode::kPolicy) {
-    throw std::invalid_argument(
-        "ServerCore: ingest/drain serve the generic policy path; slotted "
-        "modes use admit()");
-  }
-  if (config_.enable_sessions) {
-    throw std::invalid_argument(
-        "ServerCore: a session core must know every client's lifecycle — "
-        "use ingest_session_trace");
-  }
-  if (object < 0 || object >= config_.objects) {
-    throw std::out_of_range("ServerCore::ingest: object out of range");
-  }
-  if (time < 0.0 || time < impl_->objects[index_of(object)]->last_time) {
-    throw std::invalid_argument(
-        "ServerCore::ingest: arrivals must be nondecreasing per object");
-  }
-  ObjectState& state = *impl_->objects[index_of(object)];
-  state.pending.push_back(time);
-  state.last_time = time;
-  if (time > impl_->clock) impl_->clock = time;
-  ++impl_->arrivals;
-  if (!state.dirty) {
-    state.dirty = true;
-    impl_->shard_dirty[index_of(object) % config_.shards].push_back(object);
-  }
-}
 
 void ServerCore::ingest_trace(Index object, std::vector<double> times) {
   if (impl_->finished) throw std::logic_error("ServerCore: already finished");
@@ -1220,10 +1186,12 @@ void save_config(util::SnapshotWriter& w, const ServerCoreConfig& c) {
   w.i64(c.channel_capacity);
   w.u8(static_cast<std::uint8_t>(c.admission));
   w.i64(c.max_defer_slots);
-  w.f64(c.ledger_bucket);
-  // The smerge-ckpt-v1 layout keeps the i64 positions of the retired
-  // slotted Delay Guaranteed mode (its media-slot count here, its
-  // emitted-slot cursor in each object record): always 0 and -1.
+  // The smerge-ckpt-v1 layout keeps the positions of retired fields:
+  // the ledger_bucket width knob (f64, always 0.0: the bucket is one
+  // slot) and the slotted Delay Guaranteed mode's i64s (its media-slot
+  // count here, its emitted-slot cursor in each object record): always
+  // 0 and -1.
+  w.f64(0.0);
   w.i64(0);
   w.boolean(c.collect_stream_intervals);
   w.boolean(c.collect_plans);
@@ -1252,7 +1220,7 @@ void check_config(util::SnapshotReader& r, const ServerCoreConfig& c) {
   if (r.i64() != c.channel_capacity) mismatch("channel_capacity");
   if (r.u8() != static_cast<std::uint8_t>(c.admission)) mismatch("admission");
   if (r.i64() != c.max_defer_slots) mismatch("max_defer_slots");
-  if (r.f64() != c.ledger_bucket) mismatch("ledger_bucket");
+  if (r.f64() != 0.0) mismatch("retired bucket width");
   if (r.i64() != 0) mismatch("retired media-slot count");
   if (r.boolean() != c.collect_stream_intervals) {
     mismatch("collect_stream_intervals");

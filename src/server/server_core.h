@@ -4,7 +4,7 @@
 // A ServerCore hosts a catalogue of N media objects and ingests client
 // arrivals incrementally, in either of two shapes:
 //
-//  * the batched path — `ingest`/`ingest_trace` append arrivals to
+//  * the batched path — `ingest_trace` appends arrivals to
 //    per-shard mailboxes (objects are round-robined over shards);
 //    `drain()` fans the shards out over the persistent
 //    `util::ThreadPool`, delivering each object's pending arrivals in
@@ -84,7 +84,6 @@ struct ServerCoreConfig {
   Index channel_capacity = 0;   ///< channel budget; 0 = unbounded
   AdmissionMode admission = AdmissionMode::kObserve;
   Index max_defer_slots = 8;    ///< defer mode: slots probed before rejecting
-  double ledger_bucket = 0.0;   ///< ledger bucket width; 0 = one slot (delay)
   Index mailbox_capacity = 0;   ///< post() ring slots per shard, rounded up
                                 ///< to a power of two; 0 = 65536. Results
                                 ///< never depend on it (overflow spills,
@@ -242,11 +241,9 @@ class ServerCore {
   /// check runs.
   Ticket admit(Index object, double time);
 
-  /// Batched path: appends one arrival to the owning shard's mailbox
-  /// (no processing until `drain`). Generic-policy serving only.
-  void ingest(Index object, double time);
-  /// Appends a whole time-ordered trace for one object (moved, O(1)
-  /// when the object's mailbox is empty).
+  /// Batched path: appends a time-ordered trace for one object to the
+  /// owning shard's mailbox (moved, O(1) when the object's mailbox is
+  /// empty; no processing until `drain`). Generic-policy serving only.
   void ingest_trace(Index object, std::vector<double> times);
 
   /// Lock-free concurrent ingest: stamps the arrival with a per-shard
@@ -266,7 +263,7 @@ class ServerCore {
   void post(Index object, double time);
 
   /// Session-lifecycle ingest (`enable_sessions` only; plain
-  /// ingest/ingest_trace then throw — a session core must know every
+  /// ingest_trace then throws — a session core must know every
   /// client's lifecycle). Each trace is one client: its arrival feeds
   /// the policy exactly like a plain arrival (so the admission stream
   /// is unchanged), its events are resolved to wall times against the

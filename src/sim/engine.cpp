@@ -1,6 +1,5 @@
 #include "sim/engine.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -25,7 +24,6 @@ server::ServerCoreConfig core_config(const EngineConfig& config) {
   core.collect_plans = config.collect_plans;
   core.enable_sessions = config.churn.enabled();
   core.chunking = config.chunking;
-  core.mailbox_capacity = config.mailbox_capacity;
   return core;
 }
 
@@ -60,11 +58,6 @@ EngineResult run_engine(const EngineConfig& config, OnlinePolicy& policy) {
   if (config.channel_capacity < 0) {
     throw std::invalid_argument("engine: channel_capacity must be >= 0");
   }
-  if (config.ingest == IngestMode::kPosted && config.churn.enabled()) {
-    throw std::invalid_argument(
-        "engine: posted ingest serves plain arrivals only (session churn "
-        "needs whole lifecycles)");
-  }
   // The core calls policy.prepare (single-threaded) and builds the
   // per-object ObjectPolicy states.
   server::ServerCore core(core_config(config), policy);
@@ -98,34 +91,8 @@ EngineResult run_engine(const EngineConfig& config, OnlinePolicy& policy) {
               generate_arrivals(config.workload, static_cast<Index>(i), weights[m]);
         },
         config.threads);
-    if (config.ingest == IngestMode::kPosted) {
-      // Wave pipeline over the lock-free rings: every object publishes
-      // its next chunk through post() (the pool supplies the
-      // producers — each object stays single-producer within a wave),
-      // then one drain claims the published ranges. The wave size
-      // bounds ring pressure; nothing else is needed for determinism —
-      // snapshots are drain-cadence independent.
-      constexpr std::size_t kWave = 4096;
-      std::size_t longest = 0;
-      for (const auto& trace : traces) longest = std::max(longest, trace.size());
-      for (std::size_t offset = 0; offset < longest; offset += kWave) {
-        util::parallel_for(
-            0, static_cast<std::int64_t>(n_objects),
-            [&](std::int64_t i) {
-              const auto m = static_cast<std::size_t>(i);
-              const std::vector<double>& trace = traces[m];
-              const std::size_t hi = std::min(trace.size(), offset + kWave);
-              for (std::size_t k = offset; k < hi; ++k) {
-                core.post(static_cast<Index>(i), trace[k]);
-              }
-            },
-            config.threads);
-        core.drain();
-      }
-    } else {
-      for (std::size_t m = 0; m < n_objects; ++m) {
-        core.ingest_trace(static_cast<Index>(m), std::move(traces[m]));
-      }
+    for (std::size_t m = 0; m < n_objects; ++m) {
+      core.ingest_trace(static_cast<Index>(m), std::move(traces[m]));
     }
   }
 

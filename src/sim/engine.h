@@ -36,24 +36,12 @@
 
 namespace smerge::sim {
 
-/// How generated traces reach the core.
-enum class IngestMode {
-  kTrace,   ///< move whole traces into per-shard mailboxes (the default)
-  kPosted,  ///< publish every arrival through the lock-free post() rings
-            ///< in bounded waves (post a chunk per object, drain, repeat)
-            ///< — exercises the concurrent hot path; results are
-            ///< bit-identical to kTrace (snapshots are drain-cadence
-            ///< independent). Incompatible with session churn.
-};
-
 /// One engine run: workload x policy x server model.
 struct EngineConfig {
   WorkloadConfig workload;
   double delay = 0.01;         ///< guaranteed start-up delay (fraction of media)
   Index channel_capacity = 0;  ///< server channels; 0 = unbounded
   unsigned threads = 1;        ///< object-shard fan-out width
-  IngestMode ingest = IngestMode::kTrace;
-  Index mailbox_capacity = 0;  ///< kPosted ring slots per shard; 0 = default
   /// Mid-session behaviour (pause / seek / abandon). When any rate is
   /// positive the run goes through the core's session path: traces are
   /// generated per session on a churn-salted substream (arrivals are

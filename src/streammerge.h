@@ -20,18 +20,14 @@
 #include "core/plan.h"
 #include "core/tree_builder.h"
 
-// Slot-accurate schedules, receiving programs, playback verification.
+// Slot-accurate schedules, channel assignment, diagrams.
 #include "schedule/channels.h"
 #include "schedule/diagram.h"
-#include "schedule/playback.h"
-#include "schedule/receiving_program.h"
 #include "schedule/stream_schedule.h"
 
-// On-line Delay Guaranteed cost model and program table; the pluggable
-// on-line policies.
+// On-line Delay Guaranteed cost model; the pluggable on-line policies.
 #include "online/delay_guaranteed.h"
 #include "online/policy.h"
-#include "online/program_table.h"
 
 // General-arrivals merging: dyadic, batching, off-line optimum.
 #include "merging/batching.h"

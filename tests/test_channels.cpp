@@ -7,6 +7,7 @@
 
 #include "core/full_cost.h"
 #include "online/delay_guaranteed.h"
+#include "schedule/stream_schedule.h"
 
 namespace smerge {
 namespace {
@@ -34,8 +35,9 @@ void expect_valid(const StreamSchedule& schedule, const ChannelAssignment& asg) 
 }
 
 TEST(Channels, FigureThreeInstance) {
-  const StreamSchedule schedule{optimal_merge_forest(15, 8)};
-  const ChannelAssignment asg = assign_channels(schedule);
+  const MergeForest forest = optimal_merge_forest(15, 8);
+  const StreamSchedule schedule(forest);
+  const ChannelAssignment asg = assign_channels(forest.to_plan());
   expect_valid(schedule, asg);
   EXPECT_EQ(asg.channels_used, schedule.peak_bandwidth());
   // The root must sit alone on its channel (it spans the whole horizon).
@@ -49,8 +51,9 @@ class ChannelSweep : public ::testing::TestWithParam<std::tuple<Index, Index>> {
 
 TEST_P(ChannelSweep, GreedyIsOptimalEverywhere) {
   const auto [L, n] = GetParam();
-  const StreamSchedule schedule{optimal_merge_forest(L, n)};
-  const ChannelAssignment asg = assign_channels(schedule);
+  const MergeForest forest = optimal_merge_forest(L, n);
+  const StreamSchedule schedule(forest);
+  const ChannelAssignment asg = assign_channels(forest.to_plan());
   expect_valid(schedule, asg);
   // Interval-graph coloring: greedy by start time is exactly peak-optimal.
   EXPECT_EQ(asg.channels_used, schedule.peak_bandwidth());
@@ -63,8 +66,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Channels, OnlineForestAssignment) {
   const DelayGuaranteedOnline policy(34);
-  const StreamSchedule schedule{policy.forest(100)};
-  const ChannelAssignment asg = assign_channels(schedule);
+  const MergeForest forest = policy.forest(100);
+  const StreamSchedule schedule(forest);
+  const ChannelAssignment asg = assign_channels(forest.to_plan());
   expect_valid(schedule, asg);
   EXPECT_EQ(asg.channels_used, schedule.peak_bandwidth());
 }
@@ -103,17 +107,6 @@ TEST(Channels, PeakOverlapCountsBackToBackOnce) {
   EXPECT_EQ(peak_overlap(events), 1);
   std::vector<ChannelEvent> empty;
   EXPECT_EQ(peak_overlap(empty), 0);
-}
-
-TEST(Channels, RenderPlanListsEveryStream) {
-  const StreamSchedule schedule{optimal_merge_forest(15, 8)};
-  const ChannelAssignment asg = assign_channels(schedule);
-  const std::string plan = render_channel_plan(schedule, asg);
-  for (const char* name : {"A[0,15)", "F[5,14)", "H[7,9)"}) {
-    EXPECT_NE(plan.find(name), std::string::npos) << name;
-  }
-  EXPECT_EQ(static_cast<Index>(std::count(plan.begin(), plan.end(), '\n')),
-            asg.channels_used);
 }
 
 }  // namespace

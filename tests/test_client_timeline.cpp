@@ -3,11 +3,13 @@
 // its last needed slot).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/full_cost.h"
+#include "core/plan.h"
+#include "plan_oracles.h"
 #include "schedule/diagram.h"
-#include "schedule/playback.h"
 
 namespace smerge {
 namespace {
@@ -40,39 +42,30 @@ TEST(ClientTimeline, BufferRowMatchesLemma15Peak) {
   // The maximum number in the buffer row equals min(d, L-d) for each
   // client of the Fig.-3 instance.
   const MergeForest forest = optimal_merge_forest(15, 8);
-  const StreamSchedule schedule(forest);
+  const plan::MergePlan p = forest.to_plan();
   for (Index a = 0; a < 8; ++a) {
-    const ClientReport report =
-        verify_client(schedule, ReceivingProgram(forest, a), Model::kReceiveTwo);
+    const plan::ClientReport report =
+        plan::verify_client(p, a, Model::kReceiveTwo);
     const std::string timeline = client_timeline(forest, a);
     std::string needle = " ";  // built via append (GCC PR105651)
-    needle += std::to_string(report.peak_buffer);
+    needle += std::to_string(std::llround(report.peak_buffer));
     EXPECT_NE(timeline.find(needle), std::string::npos) << "a=" << a;
   }
 }
 
 TEST(FailureInjection, EveryTightTruncationIsNoticed) {
-  // For each non-root stream, serve the original programs against a
-  // schedule in which that stream is one slot shorter. Lemma-1 lengths
-  // are tight (invariant 6), so the verifier must flag some client.
-  const MergeForest forest = optimal_merge_forest(15, 14);
-  const StreamSchedule schedule(forest);
-
-  for (Index victim = 0; victim < forest.size(); ++victim) {
-    const bool is_root = forest.tree_offset(forest.tree_of(victim)) == victim;
-    if (is_root) continue;
-
+  // For each non-root stream, rebuild the plan with that stream one
+  // slot shorter. Lemma-1 lengths are tight, so the verifier must flag
+  // a playback break for some client.
+  const plan::MergePlan p = optimal_merge_forest(15, 14).to_plan();
+  for (Index victim = 0; victim < p.size(); ++victim) {
+    const auto v = static_cast<std::size_t>(victim);
+    if (p.parent()[v] == -1) continue;
+    const plan::PlanReport report =
+        plan::verify(oracles::with_stream_length(p, victim, p.length()[v] - 1.0));
     bool noticed = false;
-    for (Index a = 0; a < forest.size(); ++a) {
-      const ReceivingProgram program(forest, a);
-      for (const Reception& r : program.receptions()) {
-        // Simulate the shortened stream by checking whether this client
-        // needs the victim's final slot.
-        if (r.stream == victim &&
-            r.last_part == schedule.stream(victim).length) {
-          noticed = true;
-        }
-      }
+    for (const plan::PlanDiagnostic& d : report.diagnostics) {
+      noticed = noticed || d.invariant == plan::Invariant::kPlayback;
     }
     EXPECT_TRUE(noticed) << "stream " << victim
                          << " could be shortened with no client noticing "

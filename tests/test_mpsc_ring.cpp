@@ -292,29 +292,6 @@ TEST(ServerCorePost, SnapshotsMatchIngestTraceAcrossShardWidths) {
   }
 }
 
-/// The engine's posted wave pipeline is an exact stand-in for trace
-/// ingest — same EngineResult, field by field.
-TEST(ServerCorePost, EnginePostedModeMatchesTraceMode) {
-  sim::EngineConfig config = small_engine_config();
-  BatchingPolicy policy;
-  const sim::EngineResult trace_result = sim::run_engine(config, policy);
-
-  for (const unsigned threads : {1u, 4u}) {
-    config.threads = threads;
-    config.ingest = sim::IngestMode::kPosted;
-    config.mailbox_capacity = threads == 4 ? 128 : 0;  // spill on one leg
-    BatchingPolicy posted_policy;
-    const sim::EngineResult posted = sim::run_engine(config, posted_policy);
-    EXPECT_EQ(posted.total_arrivals, trace_result.total_arrivals);
-    EXPECT_EQ(posted.total_streams, trace_result.total_streams);
-    EXPECT_EQ(posted.streams_served, trace_result.streams_served);
-    EXPECT_EQ(posted.peak_concurrency, trace_result.peak_concurrency);
-    EXPECT_EQ(posted.wait.mean, trace_result.wait.mean);
-    EXPECT_EQ(posted.wait.p99, trace_result.wait.p99);
-    EXPECT_EQ(posted.per_object, trace_result.per_object);
-  }
-}
-
 /// Concurrent producers + a live drain loop land on the same snapshot
 /// as the serial baseline — the full lock-free path under real threads.
 TEST(ServerCorePost, ConcurrentProducersMatchSerialBaseline) {

@@ -1,14 +1,18 @@
 // Tests for the on-line Delay Guaranteed algorithm (Section 4.1):
-// exact costs, the Theorem-21 bound, the Theorem-22 competitive ratio and
-// the produced forests.
+// exact costs, the Theorem-21 bound, the Theorem-22 competitive ratio,
+// the produced forests, and Delay Guaranteed serving through the live
+// core.
 #include "online/delay_guaranteed.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "core/plan.h"
 #include "core/tree_builder.h"
-#include "schedule/playback.h"
+#include "online/policy.h"
+#include "plan_oracles.h"
+#include "server/server_core.h"
 
 namespace smerge {
 namespace {
@@ -113,13 +117,21 @@ TEST(DelayGuaranteedOnline, ForestMatchesCostAndVerifies) {
       const MergeForest forest = dg.forest(n);
       EXPECT_EQ(forest.size(), n);
       EXPECT_EQ(forest.full_cost(), dg.cost(n)) << "L=" << L << " n=" << n;
-      const ForestReport report = verify_forest(forest);
+      const plan::MergePlan p = forest.to_plan();
+      const plan::PlanReport report = plan::verify(p);
       EXPECT_TRUE(report.ok) << "L=" << L << " n=" << n << ": " << report.first_error;
-      // The canonical-IR oracle agrees with the slotted verifier.
-      const plan::PlanReport plan_report = plan::verify(dg.to_plan(n));
+      EXPECT_EQ(oracles::first_lemma15_mismatch(forest), -1) << "L=" << L << " n=" << n;
+      EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveTwo), -1)
+          << "L=" << L << " n=" << n;
+      // The on-line producer's own plan verifies with the same cost and
+      // tight truncations, the partial final block's included.
+      const plan::MergePlan online = dg.to_plan(n);
+      const plan::PlanReport plan_report = plan::verify(online);
       EXPECT_TRUE(plan_report.ok)
           << "L=" << L << " n=" << n << ": " << plan_report.first_error;
       EXPECT_DOUBLE_EQ(plan_report.total_cost, static_cast<double>(dg.cost(n)));
+      EXPECT_EQ(oracles::first_loose_stream(online, Model::kReceiveTwo), -1)
+          << "L=" << L << " n=" << n;
     }
   }
 }
@@ -158,6 +170,72 @@ TEST(DelayGuaranteedOnline, Validation) {
   const DelayGuaranteedOnline dg(15);
   EXPECT_THROW((void)dg.cost(-1), std::invalid_argument);
   EXPECT_THROW(dg.forest(0), std::invalid_argument);
+}
+
+/// A one-object core serving DelayGuaranteedPolicy at `delay` = 1/L.
+server::ServerCoreConfig dg_core_config(double delay, double horizon) {
+  server::ServerCoreConfig config;
+  config.objects = 1;
+  config.delay = delay;
+  config.horizon = horizon;
+  return config;
+}
+
+TEST(Server, WaitIsAlwaysWithinOneSlot) {
+  DelayGuaranteedPolicy dg;
+  const server::ServerCore core(dg_core_config(0.01, 8.0), dg);
+  double t = 0.0;
+  for (int i = 0; i < 500; ++i) {
+    t += 0.0137;  // irrational-ish stride hits many slot phases
+    const server::Ticket ticket = core.preview_admission(0, t);
+    EXPECT_GE(ticket.wait, 0.0);
+    EXPECT_LE(ticket.wait, 0.01 + 1e-12);
+    EXPECT_NEAR(ticket.playback_start,
+                static_cast<double>(ticket.slot + 1) * 0.01, 1e-12);
+  }
+}
+
+TEST(Server, BoundaryArrivalJoinsStartingStream) {
+  DelayGuaranteedPolicy dg;
+  const server::ServerCore core(dg_core_config(0.01, 1.0), dg);
+  const server::Ticket ticket = core.preview_admission(0, 0.05);  // slot 4's end
+  EXPECT_EQ(ticket.slot, 4);
+  EXPECT_NEAR(ticket.wait, 0.0, 1e-9);
+}
+
+TEST(Server, RejectsOutOfOrderArrivals) {
+  DelayGuaranteedPolicy dg;
+  server::ServerCore core(dg_core_config(1.0 / 15.0, 2.0), dg);
+  (void)core.admit(0, 5.0 / 15.0);
+  EXPECT_THROW((void)core.admit(0, 4.0 / 15.0), std::invalid_argument);
+  EXPECT_THROW((void)core.admit(0, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)core.preview_admission(0, -1.0), std::invalid_argument);
+  EXPECT_THROW(server::ServerCore(dg_core_config(0.0, 2.0), dg),
+               std::invalid_argument);
+}
+
+TEST(Server, ServedProgramsPlayBackCorrectly) {
+  // End to end: preview clients over three blocks, then verify the
+  // program of each previewed slot on the on-line plan (slot units:
+  // media length L, slot duration 1/L).
+  const Index L = 15;
+  const double delay = 1.0 / static_cast<double>(L);
+  const Index horizon = 20;
+  DelayGuaranteedPolicy dg;
+  const server::ServerCore core(
+      dg_core_config(delay, static_cast<double>(horizon) * delay), dg);
+  const plan::MergePlan online = DelayGuaranteedOnline(L).to_plan(horizon);
+  int clients = 0;
+  for (double t = 0.4; t < static_cast<double>(horizon); t += 1.7) {
+    const server::Ticket ticket = core.preview_admission(0, t * delay);
+    ASSERT_GE(ticket.slot, 0);
+    ASSERT_LT(ticket.slot, horizon);
+    const plan::ClientReport report =
+        plan::verify_client(online, ticket.slot, Model::kReceiveTwo);
+    EXPECT_TRUE(report.ok) << report.error;
+    ++clients;
+  }
+  EXPECT_EQ(clients, 12);
 }
 
 }  // namespace

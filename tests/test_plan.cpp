@@ -13,7 +13,6 @@
 #include "merging/optimal_general.h"
 #include "online/delay_guaranteed.h"
 #include "schedule/channels.h"
-#include "schedule/receiving_program.h"
 #include "schedule/stream_schedule.h"
 #include "sim/arrivals.h"
 #include "util/json_writer.h"
@@ -194,26 +193,6 @@ TEST(PlanRoundTrip, ReceiveAllModel) {
   EXPECT_GE(report.max_concurrent, 2);
   // ...but the same lengths are illegal under receive-two.
   EXPECT_FALSE(plan::verify(p, Model::kReceiveTwo).ok);
-}
-
-TEST(Plan, ReceivingProgramOverloadMatchesForestPrograms) {
-  const Index L = 16;
-  const Index n = 13;
-  const MergeForest forest = optimal_merge_forest(L, n);
-  const plan::MergePlan p = forest.to_plan();
-  for (Index a = 0; a < n; ++a) {
-    const ReceivingProgram from_forest(forest, a);
-    const ReceivingProgram from_plan(p, a);
-    EXPECT_EQ(from_plan.arrival(), from_forest.arrival());
-    EXPECT_EQ(from_plan.media_length(), from_forest.media_length());
-    EXPECT_EQ(from_plan.path(), from_forest.path());
-    EXPECT_EQ(from_plan.receptions(), from_forest.receptions());
-  }
-  // The overload rejects plans that are not slot-aligned.
-  plan::PlanBuilder b(1.0);
-  (void)b.add_stream(0.25, -1);
-  const plan::MergePlan continuous = b.build();
-  EXPECT_THROW((void)ReceivingProgram(continuous, 0), std::invalid_argument);
 }
 
 TEST(Plan, JsonDumpIsValid) {

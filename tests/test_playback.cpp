@@ -1,63 +1,80 @@
 // End-to-end playback verification: every client of every constructed
 // forest plays the media uninterrupted within the model's constraints.
-// This is the paper's implicit correctness claim, checked segment by
-// segment (see src/schedule/playback.h for the invariant list).
-#include "schedule/playback.h"
-
+// This is the paper's implicit correctness claim, checked by the plan
+// verifier on each forest's plan (see src/core/plan.h for the invariant
+// list), plus the Lemma 15 and tight-truncation oracles of
+// tests/plan_oracles.h.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/buffer.h"
 #include "core/full_cost.h"
+#include "core/plan.h"
+#include "plan_oracles.h"
 
 namespace smerge {
 namespace {
 
 TEST(Playback, FigureThreeInstanceVerifies) {
   const MergeForest forest = optimal_merge_forest(15, 8);
-  const ForestReport report = verify_forest(forest);
+  const plan::MergePlan p = forest.to_plan();
+  const plan::PlanReport report = plan::verify(p);
   EXPECT_TRUE(report.ok) << report.first_error;
   EXPECT_EQ(report.clients, 8);
   EXPECT_EQ(report.max_concurrent, 2);
-  EXPECT_EQ(report.peak_buffer, 7);  // client 7: min(7, 15-7)
-  EXPECT_EQ(report.unused_units, 0);
+  EXPECT_EQ(report.peak_buffer, 7.0);  // client 7: min(7, 15-7)
+  EXPECT_EQ(oracles::first_lemma15_mismatch(forest), -1);
+  EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveTwo), -1);
 }
 
 TEST(Playback, ClientHDetails) {
-  const MergeForest forest = optimal_merge_forest(15, 8);
-  const StreamSchedule schedule(forest);
-  const ReceivingProgram program(forest, 7);
-  const ClientReport report = verify_client(schedule, program, Model::kReceiveTwo);
+  const plan::MergePlan p = optimal_merge_forest(15, 8).to_plan();
+  const plan::ClientReport report =
+      plan::verify_client(p, 7, Model::kReceiveTwo);
   EXPECT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.max_concurrent, 2);
-  EXPECT_EQ(report.peak_buffer, buffer_requirement(7, 15));
-  EXPECT_EQ(report.completion_slot, 15);  // last root segment lands at t=15
+  EXPECT_EQ(report.peak_buffer, static_cast<double>(buffer_requirement(7, 15)));
+  double completion = 0.0;
+  for (const plan::Piece& piece : plan::client_program(p, 7, Model::kReceiveTwo)) {
+    completion = std::max(completion, p.start()[static_cast<std::size_t>(piece.stream)] + piece.to);
+  }
+  EXPECT_EQ(completion, 15.0);  // last root segment lands at t=15
 }
 
 class PlaybackSweep : public ::testing::TestWithParam<std::tuple<Index, Index>> {};
 
 TEST_P(PlaybackSweep, ReceiveTwoForestsVerify) {
   const auto [L, n] = GetParam();
-  const ForestReport report = verify_forest(optimal_merge_forest(L, n));
+  const MergeForest forest = optimal_merge_forest(L, n);
+  const plan::MergePlan p = forest.to_plan();
+  const plan::PlanReport report = plan::verify(p);
   EXPECT_TRUE(report.ok) << "L=" << L << " n=" << n << ": " << report.first_error;
   EXPECT_LE(report.max_concurrent, 2);
-  EXPECT_LE(report.peak_buffer, L / 2);
-  EXPECT_EQ(report.unused_units, 0);
+  EXPECT_LE(report.peak_buffer, static_cast<double>(L / 2));
+  EXPECT_EQ(oracles::first_lemma15_mismatch(forest), -1) << "L=" << L << " n=" << n;
+  EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveTwo), -1);
 }
 
 TEST_P(PlaybackSweep, ReceiveAllForestsVerify) {
   const auto [L, n] = GetParam();
-  const ForestReport report =
-      verify_forest(optimal_merge_forest(L, n, Model::kReceiveAll), Model::kReceiveAll);
+  const plan::MergePlan p =
+      optimal_merge_forest(L, n, Model::kReceiveAll).to_plan(Model::kReceiveAll);
+  const plan::PlanReport report = plan::verify(p);
   EXPECT_TRUE(report.ok) << "L=" << L << " n=" << n << ": " << report.first_error;
-  EXPECT_EQ(report.unused_units, 0);
+  EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveAll), -1);
 }
 
 TEST_P(PlaybackSweep, BoundedBufferForestsVerify) {
   const auto [L, n] = GetParam();
   const Index B = std::max<Index>(1, L / 3);
-  const ForestReport report = verify_forest(optimal_merge_forest_bounded(L, n, B));
+  const MergeForest forest = optimal_merge_forest_bounded(L, n, B);
+  const plan::MergePlan p = forest.to_plan();
+  const plan::PlanReport report = plan::verify(p);
   EXPECT_TRUE(report.ok) << "L=" << L << " n=" << n << ": " << report.first_error;
-  EXPECT_LE(report.peak_buffer, B);
+  EXPECT_LE(report.peak_buffer, static_cast<double>(B));
+  EXPECT_EQ(oracles::first_lemma15_mismatch(forest), -1) << "L=" << L << " n=" << n;
+  EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveTwo), -1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -71,50 +88,50 @@ TEST(Playback, StarTreeDeepClients) {
   std::vector<MergeTree> trees;
   trees.push_back(MergeTree::star(8));
   const MergeForest forest(8, std::move(trees));
-  const ForestReport report = verify_forest(forest);
+  const plan::MergePlan p = forest.to_plan();
+  const plan::PlanReport report = plan::verify(p);
   EXPECT_TRUE(report.ok) << report.first_error;
-  EXPECT_EQ(report.peak_buffer, 4);  // min(d, 8-d) maxes at d=4
+  EXPECT_EQ(report.peak_buffer, 4.0);  // min(d, 8-d) maxes at d=4
+  EXPECT_EQ(oracles::first_lemma15_mismatch(forest), -1);
+  EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveTwo), -1);
 }
 
 TEST(Playback, ReceiveAllConcurrencyGrowsWithDepth) {
   // In the receive-all model a depth-k client listens to k+1 streams.
-  const MergeForest forest = optimal_merge_forest(64, 64, Model::kReceiveAll);
-  const ForestReport report = verify_forest(forest, Model::kReceiveAll);
+  const plan::MergePlan p =
+      optimal_merge_forest(64, 64, Model::kReceiveAll).to_plan(Model::kReceiveAll);
+  const plan::PlanReport report = plan::verify(p);
   EXPECT_TRUE(report.ok) << report.first_error;
   EXPECT_GT(report.max_concurrent, 2);  // beyond receive-two's budget
+  EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveAll), -1);
 }
 
 TEST(Playback, FailureInjectionTruncatedStream) {
-  // Client H's program (from the optimal tree, where stream 5 carries
-  // segments up to 9) must fail against a schedule in which arrival 7
-  // merges directly with the root, so stream 5 is truncated at 7.
-  const MergeForest forest = optimal_merge_forest(15, 8);
-  std::vector<MergeTree> trees;
-  trees.push_back(MergeTree(std::vector<Index>{-1, 0, 0, 0, 3, 0, 5, 0}));
-  const MergeForest tampered(15, std::move(trees));
-  const StreamSchedule short_schedule(tampered);
-  ASSERT_EQ(short_schedule.stream(5).length, 7);  // vs 9 in the optimum
-  const ReceivingProgram program(forest, 7);
-  const ClientReport report =
-      verify_client(short_schedule, program, Model::kReceiveTwo);
+  // Client H's program takes segments up to 9 from stream 5; truncate
+  // stream 5 at 7 (its length when arrival 7 merges straight into the
+  // root) and the verifier must flag the missing segments.
+  const plan::MergePlan p = optimal_merge_forest(15, 8).to_plan();
+  ASSERT_EQ(p.length()[5], 9.0);
+  const plan::ClientReport report = plan::verify_client(
+      oracles::with_stream_length(p, 5, 7.0), 7, Model::kReceiveTwo);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("truncated"), std::string::npos) << report.error;
 }
 
 TEST(Playback, FailureInjectionWrongModel) {
-  // A receive-all program generally listens to more than two streams at
-  // once; verifying it under receive-two rules must fail for deep clients.
-  const MergeForest forest = optimal_merge_forest(64, 64, Model::kReceiveAll);
-  const StreamSchedule schedule(forest, Model::kReceiveAll);
-  bool any_violation = false;
-  for (Index a = 0; a < forest.size(); ++a) {
-    const ReceivingProgram program(forest, a, Model::kReceiveAll);
-    const ClientReport r = verify_client(schedule, program, Model::kReceiveTwo);
-    if (!r.ok && r.error.find("streams at once") != std::string::npos) {
-      any_violation = true;
-    }
+  // Receive-all truncations (Lemma 17) are shorter than receive-two's
+  // (Lemma 1): checking a receive-all plan under receive-two rules
+  // must flag deep clients whose receive-two programs outrun them.
+  const plan::MergePlan p =
+      optimal_merge_forest(64, 64, Model::kReceiveAll).to_plan(Model::kReceiveAll);
+  const plan::PlanReport report = plan::verify(p, Model::kReceiveTwo);
+  EXPECT_FALSE(report.ok);
+  bool truncated = false;
+  for (const plan::PlanDiagnostic& d : report.diagnostics) {
+    truncated = truncated || (d.invariant == plan::Invariant::kPlayback &&
+                              d.message.find("truncated") != std::string::npos);
   }
-  EXPECT_TRUE(any_violation);
+  EXPECT_TRUE(truncated) << report.first_error;
 }
 
 }  // namespace

@@ -2,15 +2,18 @@
 //
 // The constructed-forest tests exercise only optimal structures; here we
 // grow random preorder trees, keep the feasible ones, and check that
-//   * the receiving-program/playback machinery accepts every feasible
-//     tree (the model is sound beyond the optimum), and
+//   * the plan verifier accepts every feasible tree (the model is sound
+//     beyond the optimum),
 //   * Lemma 15 is exact for *arbitrary* feasible L-trees: the measured
-//     peak buffer of every client equals min(d, L-d).
+//     peak buffer of every client equals min(d, L-d), and
+//   * Lemma-1 truncations are tight: each non-root stream transmits
+//     exactly up to the furthest position any client reads from it.
 #include <gtest/gtest.h>
 
 #include "core/buffer.h"
+#include "core/plan.h"
 #include "core/tree_builder.h"
-#include "schedule/playback.h"
+#include "plan_oracles.h"
 
 namespace smerge {
 namespace {
@@ -44,22 +47,16 @@ TEST_P(RandomTreeFuzz, FeasibleTreesPlayBackWithExactLemma15Buffers) {
     std::vector<MergeTree> trees;
     trees.push_back(t);
     const MergeForest forest(L, std::move(trees));
-    const ForestReport report = verify_forest(forest);
-    // verify_forest internally asserts peak buffer == Lemma-15 prediction
-    // per client; any mismatch lands in first_error.
+    const plan::MergePlan p = forest.to_plan();
+    const plan::PlanReport report = plan::verify(p);
     EXPECT_TRUE(report.ok) << "n=" << n << " L=" << L << " seed=" << seed
                            << ": " << report.first_error;
     EXPECT_LE(report.max_concurrent, 2);
-    EXPECT_EQ(report.unused_units, 0);
-    // The canonical-IR oracle agrees with the slotted verifier on
-    // arbitrary feasible trees, including the measured peak buffer.
-    const plan::PlanReport plan_report = plan::verify(forest.to_plan());
-    EXPECT_TRUE(plan_report.ok) << "n=" << n << " L=" << L << " seed=" << seed
-                                << ": " << plan_report.first_error;
-    EXPECT_NEAR(plan_report.peak_buffer,
-                static_cast<double>(report.peak_buffer), 1e-9);
-    EXPECT_DOUBLE_EQ(plan_report.total_cost,
-                     static_cast<double>(forest.full_cost()));
+    EXPECT_DOUBLE_EQ(report.total_cost, static_cast<double>(forest.full_cost()));
+    EXPECT_EQ(oracles::first_lemma15_mismatch(forest), -1)
+        << "n=" << n << " L=" << L << " seed=" << seed;
+    EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveTwo), -1)
+        << "n=" << n << " L=" << L << " seed=" << seed;
     ++verified;
   }
   EXPECT_EQ(verified, 12);
@@ -82,10 +79,15 @@ TEST_P(RandomTreeFuzz, RandomForestsOfRandomTreesVerify) {
     }
   }
   const MergeForest forest(L, std::move(trees));
-  const ForestReport report = verify_forest(forest);
+  const plan::MergePlan p = forest.to_plan();
+  const plan::PlanReport report = plan::verify(p);
   EXPECT_TRUE(report.ok) << report.first_error;
-  // Cross-check the per-client Lemma-15 maximum over the whole forest.
-  EXPECT_EQ(report.peak_buffer, max_buffer_requirement(forest));
+  // Lemma 15 per client, each measured from its own tree's root, and
+  // the forest-wide maximum.
+  EXPECT_EQ(oracles::first_lemma15_mismatch(forest), -1) << "seed=" << seed;
+  EXPECT_EQ(report.peak_buffer,
+            static_cast<double>(max_buffer_requirement(forest)));
+  EXPECT_EQ(oracles::first_loose_stream(p, Model::kReceiveTwo), -1) << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTreeFuzz,

@@ -801,6 +801,32 @@ TEST(Recovery, ParseFaultPlanAcceptsSpecsAndRejectsGarbage) {
   EXPECT_THROW((void)sim::parse_fault_plan("wat=1"), std::invalid_argument);
 }
 
+TEST(Recovery, SingleIngestRecordsReplayAsOneArrivalTraces) {
+  // A single-arrival record replays exactly like a one-element trace.
+  server::ServerCoreConfig config;
+  config.objects = 2;
+  config.delay = 0.1;
+  config.horizon = 4.0;
+  GreedyMergePolicy policy(merging::DyadicParams{}, /*batched=*/true);
+  GreedyMergePolicy baseline_policy(merging::DyadicParams{}, /*batched=*/true);
+  server::ServerCore baseline(config, baseline_policy);
+  server::AdmissionWal wal;
+  for (const auto& [object, time] :
+       {std::pair<Index, double>{0, 0.5}, {1, 0.75}, {0, 1.25}}) {
+    wal.log_ingest(object, time);
+    baseline.ingest_trace(object, {time});
+  }
+  wal.log_drain();
+  baseline.drain();
+  server::RecoveredCore recovered =
+      server::recover(config, &policy, {}, {wal.bytes().data(), wal.bytes().size()});
+  EXPECT_EQ(recovered.report.wal_records_replayed, 4u);
+  recovered.core->finish();
+  baseline.finish();
+  expect_same_snapshot(recovered.core->take_snapshot(), baseline.take_snapshot(),
+                       "single ingest records");
+}
+
 // --- restore preconditions ---------------------------------------------------
 
 TEST(Recovery, RestoreRefusesUsedCoresAndForeignConfigs) {
@@ -810,14 +836,14 @@ TEST(Recovery, RestoreRefusesUsedCoresAndForeignConfigs) {
   config.horizon = 4.0;
   GreedyMergePolicy policy(merging::DyadicParams{}, /*batched=*/true);
   server::ServerCore core(config, policy);
-  core.ingest(0, 0.5);
+  core.ingest_trace(0, {0.5});
   core.drain();
   const std::vector<std::uint8_t> frame = core.checkpoint(3);
 
   // A core that already served traffic refuses to be overwritten.
   GreedyMergePolicy used_policy(merging::DyadicParams{}, /*batched=*/true);
   server::ServerCore used(config, used_policy);
-  used.ingest(0, 0.25);
+  used.ingest_trace(0, {0.25});
   EXPECT_THROW((void)used.restore_state({frame.data(), frame.size()}),
                std::logic_error);
 
@@ -835,8 +861,8 @@ TEST(Recovery, RestoreRefusesUsedCoresAndForeignConfigs) {
   const server::RestoreInfo info =
       fresh.restore_state({frame.data(), frame.size()});
   EXPECT_EQ(info.wal_records, 3u);
-  core.ingest(1, 1.5);
-  fresh.ingest(1, 1.5);
+  core.ingest_trace(1, {1.5});
+  fresh.ingest_trace(1, {1.5});
   core.finish();
   fresh.finish();
   expect_same_snapshot(fresh.take_snapshot(), core.take_snapshot(),

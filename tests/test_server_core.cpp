@@ -510,7 +510,7 @@ TEST(ServerCore, Validation) {
   EXPECT_THROW((void)ok.admit(0, -0.5), std::invalid_argument);
   (void)ok.admit(0, 1.0);
   EXPECT_THROW((void)ok.admit(0, 0.5), std::invalid_argument);  // unsorted
-  EXPECT_THROW(ok.ingest(0, 2.0), std::invalid_argument);  // slotted mode
+  EXPECT_THROW(ok.ingest_trace(0, {2.0}), std::invalid_argument);  // slotted mode
   ok.finish();
   EXPECT_THROW((void)ok.admit(0, 2.0), std::logic_error);
   config = ServerCoreConfig{};
@@ -881,13 +881,17 @@ TEST(ServerCore, RetiredSlottedDgCheckpointFieldsAreRefused) {
       util::SnapshotReader::open(frame, "smerge-ckpt-v1");
   const auto body = reader.raw(reader.remaining());
   // The serve byte follows objects, delay, horizon and shards; the
-  // media-slot count (little-endian i64 0) follows capacity, admission,
-  // defer slots and bucket width. The idle object's record ends the
-  // payload: its cursor (i64 -1), a zero slot-flag count, an empty blob.
+  // retired ledger bucket width (f64 0.0, sign/exponent byte last)
+  // follows capacity, admission and defer slots, and the media-slot
+  // count (little-endian i64 0) follows it. The idle object's record
+  // ends the payload: its cursor (i64 -1), a zero slot-flag count, an
+  // empty blob.
   const std::size_t serve = 32;
+  const std::size_t bucket_width_top = 57;
   const std::size_t media_slots = 58;
   const std::size_t cursor = body.size() - 24;
   ASSERT_EQ(body[serve], 2);
+  ASSERT_EQ(body[bucket_width_top], 0);
   ASSERT_EQ(body[media_slots], 0);
   ASSERT_EQ(body[cursor], 0xff);
   const auto restore_patched = [&](std::size_t at, std::uint8_t byte) {
@@ -906,6 +910,7 @@ TEST(ServerCore, RetiredSlottedDgCheckpointFieldsAreRefused) {
               std::string::npos)
         << e.what();
   }
+  EXPECT_THROW(restore_patched(bucket_width_top, 0x3f), util::SnapshotError);
   EXPECT_THROW(restore_patched(media_slots, 15), util::SnapshotError);
   EXPECT_THROW(restore_patched(cursor, 3), util::SnapshotError);
 }

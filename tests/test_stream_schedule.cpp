@@ -24,10 +24,8 @@ TEST(StreamSchedule, FigureThreeWindows) {
   EXPECT_EQ(sched.media_length(), 15);
 }
 
-TEST(StreamSchedule, SlotOfSegment) {
+TEST(StreamSchedule, WindowEnd) {
   const StreamWindow w{5, 9};
-  EXPECT_EQ(w.slot_of(1), 5);
-  EXPECT_EQ(w.slot_of(9), 13);
   EXPECT_EQ(w.end(), 14);
 }
 

@@ -13,14 +13,14 @@ TEST(Umbrella, EndToEndPipeline) {
   // Off-line: plan, schedule, assign channels, verify.
   const MergeForest forest = optimal_merge_forest(15, 8);
   const StreamSchedule schedule(forest);
-  const ChannelAssignment channels = assign_channels(schedule);
+  const ChannelAssignment channels = assign_channels(forest.to_plan());
   EXPECT_EQ(channels.channels_used, schedule.peak_bandwidth());
-  EXPECT_TRUE(verify_forest(forest).ok);
+  EXPECT_TRUE(plan::verify(forest.to_plan()).ok);
   EXPECT_EQ(max_buffer_requirement(forest), 7);
   EXPECT_NE(concrete_diagram(forest).find("A (t=0):"), std::string::npos);
 
   // On-line: the live core serves Delay Guaranteed with bounded waits;
-  // each ticket's slot indexes the O(1) program table.
+  // each ticket's slot names its client in the on-line plan.
   DelayGuaranteedPolicy delay_guaranteed;
   server::ServerCoreConfig config;
   config.delay = 1.0 / 15.0;
@@ -29,8 +29,9 @@ TEST(Umbrella, EndToEndPipeline) {
   const server::Ticket ticket = core.preview_admission(0, 6.25 / 15.0);
   EXPECT_LE(ticket.wait, config.delay);
   EXPECT_EQ(ticket.slot, 6);
-  const ProgramTable programs{DelayGuaranteedOnline(15)};
-  EXPECT_FALSE(programs.program_at(ticket.slot).empty());
+  EXPECT_FALSE(plan::client_program(DelayGuaranteedOnline(15).to_plan(15),
+                                    ticket.slot, Model::kReceiveTwo)
+                   .empty());
 
   // General arrivals: dyadic vs the off-line optimum, continuously
   // verified.
