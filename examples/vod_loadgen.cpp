@@ -4,19 +4,13 @@
 // examples use, partitions the objects round-robin over N connections
 // (each connection's streams merged into nondecreasing time order — the
 // wire contract and the core's per-object contract in one move), and
-// drives them from one thread per connection:
-//
-//   * closed loop (--window=W, default): at most W admissions
-//     outstanding per connection — throughput is set by the server's
-//     round-trip, the paper's "client waits for its start-up slot"
-//     shape;
-//   * open loop (--window=0): admissions go out at full rate, tickets
-//     are drained opportunistically and collected at the end;
-//   * --think-us adds per-admission client think time;
-//   * --churn-every=N closes and reopens each connection every N
-//     admissions (outstanding tickets are collected first, so no
-//     admission is ever unacknowledged — and per-object order survives
-//     because an object never leaves its connection).
+// drives them from one thread per connection in a closed loop: at most
+// kWindow admissions outstanding per connection, so throughput is set
+// by the server's round-trip — the paper's "client waits for its
+// start-up slot" shape. --churn-every=N closes and reopens each
+// connection every N admissions (outstanding tickets are collected
+// first, so no admission is ever unacknowledged — and per-object order
+// survives because an object never leaves its connection).
 //
 // Reports aggregate admissions/s and client-observed ticket latency
 // percentiles (admit-send to TICKET-decode), then drives the FINISH
@@ -53,6 +47,10 @@ namespace {
 using namespace smerge;
 using clock_type = std::chrono::steady_clock;
 
+/// Admissions outstanding per connection before the client blocks on
+/// its tickets.
+constexpr std::uint64_t kWindow = 8192;
+
 std::unique_ptr<OnlinePolicy> make_policy(const std::string& name) {
   if (name == "dg") return std::make_unique<DelayGuaranteedPolicy>();
   if (name == "batching") return std::make_unique<BatchingPolicy>();
@@ -78,8 +76,6 @@ struct ClientPlan {
   std::vector<std::pair<double, Index>> sends;  ///< nondecreasing time
   std::string host;
   std::uint16_t port = 0;
-  std::uint64_t window = 0;      ///< 0 = open loop
-  std::uint64_t think_us = 0;
   std::uint64_t churn_every = 0;  ///< 0 = never reconnect
 };
 
@@ -109,21 +105,13 @@ ClientOutcome run_client(const ClientPlan& plan) {
       client.connect(plan.host, plan.port);
       ++out.reconnects;
     }
-    if (plan.window > 0) {
-      while (out.sent - acked >= plan.window) {
-        client.flush();
-        acked += client.poll_tickets(on_ticket, true);
-      }
-    } else if (out.sent % 256 == 0) {
-      acked += client.poll_tickets(on_ticket, false);  // opportunistic
+    while (out.sent - acked >= kWindow) {
+      client.flush();
+      acked += client.poll_tickets(on_ticket, true);
     }
     const std::uint64_t id = client.admit(object, time);
     sent_at[static_cast<std::size_t>(id - 1)] = clock_type::now();
     ++out.sent;
-    if (plan.think_us > 0) {
-      client.flush();
-      std::this_thread::sleep_for(std::chrono::microseconds(plan.think_us));
-    }
   }
   collect_all();
   client.close();
@@ -160,9 +148,6 @@ int main(int argc, char** argv) {
   args.add_bool("constant", false, "constant-rate arrivals instead of Poisson");
   args.add_string("policy", "batching",
                   "--verify only — must match the server's --policy");
-  args.add_int("window", 8192,
-               "max outstanding admissions per connection; 0 = open loop");
-  args.add_int("think-us", 0, "client think time per admission, microseconds");
   args.add_int("churn-every", 0,
                "reconnect each connection every N admissions; 0 = never");
   args.add_bool("verify", false,
@@ -184,10 +169,8 @@ int main(int argc, char** argv) {
     if (args.get_int("connections") < 1) {
       throw std::invalid_argument("--connections must be >= 1");
     }
-    if (args.get_int("window") < 0 || args.get_int("think-us") < 0 ||
-        args.get_int("churn-every") < 0) {
-      throw std::invalid_argument(
-          "--window/--think-us/--churn-every must be >= 0");
+    if (args.get_int("churn-every") < 0) {
+      throw std::invalid_argument("--churn-every must be >= 0");
     }
     if (args.get_int("port") < 1 || args.get_int("port") > 65535) {
       throw std::invalid_argument("--port must be in [1, 65535]");
@@ -210,8 +193,6 @@ int main(int argc, char** argv) {
       ClientPlan& plan = plans[c];
       plan.host = args.get_string("host");
       plan.port = static_cast<std::uint16_t>(args.get_int("port"));
-      plan.window = static_cast<std::uint64_t>(args.get_int("window"));
-      plan.think_us = static_cast<std::uint64_t>(args.get_int("think-us"));
       plan.churn_every = static_cast<std::uint64_t>(args.get_int("churn-every"));
       for (std::size_t m = c; m < traces.size(); m += connections) {
         for (const double t : traces[m]) {
@@ -225,13 +206,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "loadgen: " << total_sends << " admissions over "
               << connections << " connections to " << plans[0].host << ":"
-              << plans[0].port << " ("
-              << (plans[0].window > 0
-                      ? "closed loop, window " + std::to_string(plans[0].window)
-                      : std::string("open loop"))
-              << (plans[0].think_us > 0
-                      ? ", think " + std::to_string(plans[0].think_us) + " us"
-                      : std::string())
+              << plans[0].port << " (closed loop, window " << kWindow
               << (plans[0].churn_every > 0
                       ? ", churn every " + std::to_string(plans[0].churn_every)
                       : std::string())

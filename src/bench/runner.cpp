@@ -64,9 +64,8 @@ std::string to_json(const std::vector<BenchRun>& runs, const BenchContext& ctx) 
   w.key("quick").value(ctx.quick);
   w.key("threads").value(static_cast<std::int64_t>(ctx.threads));
   w.key("seed").value(ctx.seed);
-  // Machine context for the comparator: concurrency-sensitive sim_*
-  // throughput floors only make sense between runs on comparable
-  // hardware, so record what this host offered.
+  // Machine context for reading the timing series: wall-clock numbers
+  // only compare between runs on comparable hardware.
   w.key("hardware_concurrency")
       .value(static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   w.key("benches").begin_array();

@@ -47,9 +47,7 @@ TEST(BenchRegistry, AllMigratedBenchesAreRegistered) {
       "fig01_delay_sweep",
       "fig08_root_intervals", "fig09_online_ratio",
       "fig11_constant_arrivals", "fig12_poisson_arrivals",
-      "net_loopback_scale",
       "sim_multi_object_scale", "sim_recovery",
-      "sim_server_core_hotpath", "sim_server_core_scale",
       "sim_session_churn",    "sim_workload_mix",
       "tab01_merge_cost",     "tab02_full_cost",
       "tab03_fibonacci_trees", "thm08_asymptotics",

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -231,7 +232,9 @@ void expect_identical(const server::Snapshot& a, const server::Snapshot& b) {
 
 /// Ring-fed snapshots must be bit-identical to the serial ingest_trace
 /// baseline across shard widths (1/2/4/8), drain cadences, and ring
-/// sizes small enough to force the overflow spill.
+/// sizes small enough to force the overflow spill — for the batching
+/// policy and for batched greedy merging. A live query after the first
+/// drain must see a genuinely partial run.
 TEST(ServerCorePost, SnapshotsMatchIngestTraceAcrossShardWidths) {
   const sim::EngineConfig config = small_engine_config();
   const std::vector<double> weights = sim::zipf_weights(
@@ -243,51 +246,63 @@ TEST(ServerCorePost, SnapshotsMatchIngestTraceAcrossShardWidths) {
                                        weights[m]);
   }
 
-  BatchingPolicy policy;
-  server::Snapshot baseline;
-  {
-    auto core_cfg = sim::core_config(config);
-    core_cfg.shards = 1;
-    server::ServerCore core(core_cfg, policy);
-    for (std::size_t m = 0; m < n; ++m) {
-      core.ingest_trace(static_cast<Index>(m), std::vector<double>(traces[m]));
-    }
-    core.finish();
-    baseline = core.take_snapshot();
-  }
-  ASSERT_GT(baseline.total_arrivals, 1000);
-
-  for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-    // mailbox_capacity 64 << arrivals per wave: the spill path runs for
-    // real at every width.
-    for (const Index capacity : {Index{0}, Index{64}}) {
+  BatchingPolicy batching;
+  GreedyMergePolicy greedy(merging::DyadicParams{}, /*batched=*/true);
+  const std::vector<OnlinePolicy*> policies{&batching, &greedy};
+  for (OnlinePolicy* policy : policies) {
+    SCOPED_TRACE(policy->name());
+    server::Snapshot baseline;
+    {
       auto core_cfg = sim::core_config(config);
-      core_cfg.shards = shards;
-      core_cfg.mailbox_capacity = capacity;
-      server::ServerCore core(core_cfg, policy);
-      // Post in waves with an uneven cadence: a few arrivals per object
-      // between drains, so drain boundaries differ from every other
-      // configuration in this test.
-      std::size_t longest = 0;
-      for (const auto& trace : traces) {
-        longest = std::max(longest, trace.size());
-      }
-      std::size_t offset = 0;
-      std::size_t wave = 17;
-      while (offset < longest) {
-        for (std::size_t m = 0; m < n; ++m) {
-          const std::size_t hi = std::min(traces[m].size(), offset + wave);
-          for (std::size_t k = offset; k < hi && k < traces[m].size(); ++k) {
-            core.post(static_cast<Index>(m), traces[m][k]);
-          }
-        }
-        offset += wave;
-        wave = wave * 5 % 53 + 3;
-        core.drain();
+      core_cfg.shards = 1;
+      server::ServerCore core(core_cfg, *policy);
+      for (std::size_t m = 0; m < n; ++m) {
+        core.ingest_trace(static_cast<Index>(m), std::vector<double>(traces[m]));
       }
       core.finish();
-      const server::Snapshot snapshot = core.take_snapshot();
-      expect_identical(snapshot, baseline);
+      baseline = core.take_snapshot();
+    }
+    ASSERT_GT(baseline.total_arrivals, 1000);
+    EXPECT_EQ(baseline.guarantee_violations, 0);
+
+    for (const unsigned shards : {1u, 2u, 4u, 8u}) {
+      // mailbox_capacity 64 << arrivals per wave: the spill path runs for
+      // real at every width.
+      for (const Index capacity : {Index{0}, Index{64}}) {
+        auto core_cfg = sim::core_config(config);
+        core_cfg.shards = shards;
+        core_cfg.mailbox_capacity = capacity;
+        server::ServerCore core(core_cfg, *policy);
+        // Post in waves with an uneven cadence: a few arrivals per object
+        // between drains, so drain boundaries differ from every other
+        // configuration in this test.
+        std::size_t longest = 0;
+        for (const auto& trace : traces) {
+          longest = std::max(longest, trace.size());
+        }
+        std::size_t offset = 0;
+        std::size_t wave = 17;
+        std::optional<server::LiveStats> mid_run;
+        while (offset < longest) {
+          for (std::size_t m = 0; m < n; ++m) {
+            const std::size_t hi = std::min(traces[m].size(), offset + wave);
+            for (std::size_t k = offset; k < hi && k < traces[m].size(); ++k) {
+              core.post(static_cast<Index>(m), traces[m][k]);
+            }
+          }
+          offset += wave;
+          wave = wave * 5 % 53 + 3;
+          core.drain();
+          if (!mid_run) mid_run = core.live_stats();
+        }
+        core.finish();
+        const server::Snapshot snapshot = core.take_snapshot();
+        ASSERT_TRUE(mid_run.has_value());
+        EXPECT_GT(mid_run->admitted, 0);
+        EXPECT_LT(mid_run->admitted, snapshot.total_arrivals);
+        EXPECT_LE(mid_run->peak_channels, snapshot.peak_concurrency);
+        expect_identical(snapshot, baseline);
+      }
     }
   }
 }

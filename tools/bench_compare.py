@@ -4,9 +4,8 @@
 Usage:
     tools/bench_compare.py BASELINE.json CANDIDATE.json [--tol 0.25]
         [--series-tol 1e-9] [--require-all] [--data-only]
-        [--threshold 0.15]
 
-Three kinds of checks, applied to every bench present in both files:
+Two kinds of checks, applied to every bench present in both files:
 
   * data checks (hard): the `ok` flag must not regress, and every
     non-timing series common to both runs must match elementwise within
@@ -18,21 +17,7 @@ Three kinds of checks, applied to every bench present in both files:
     derived ratio) may regress by at most --tol relative (default 25%).
     Timing checks only make sense between runs on the same machine; pass
     --data-only to skip them entirely (what CI does against the
-    committed seed, whose timings came from another host);
-  * throughput floor (--threshold X, off by default): every `*_per_s`
-    series and metric of the `sim_*` ingest and `net_*` wire benches —
-    higher is better — must not drop more than X relative below the
-    baseline. This is the
-    perf-trend gate CI runs against the committed seed with
-    --threshold 0.15; it applies even under --data-only because a
-    collapsed ingest rate is the one timing signal worth cross-host
-    noise. The concurrent sim_* rates scale with the host's core count,
-    so when the two documents record different `hardware_concurrency`
-    headers — or only one records it at all — floor breaches are
-    demoted to printed notes instead of failures: a 4-core baseline
-    against a 2-core candidate is a machine change, not a regression.
-    The floor is enforced only when both headers agree (or both
-    predate the header, where nothing can be told apart).
+    committed seed, whose timings came from another host).
 
 Benches present only in the candidate (a bench added since the committed
 baseline) are reported as notes, never failures: the baseline simply
@@ -83,17 +68,6 @@ def rel_excess(old: float, new: float) -> float:
     return (new - old) / old if old > 0 else math.inf
 
 
-def rel_shortfall(old: float, new: float) -> float:
-    """How far `new` falls below `old`, relative to `old` (0 when new >= old)."""
-    if new >= old or old <= 0:
-        return 0.0
-    return (old - new) / old
-
-
-def is_throughput(name: str) -> bool:
-    return name.lower().endswith("_per_s")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="diff two smerge-bench-v1 files, fail on regressions"
@@ -123,15 +97,6 @@ def main() -> int:
         help="skip all timing comparisons (use when baseline and candidate "
         "ran on different machines, e.g. CI vs the committed seed)",
     )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail when any *_per_s throughput series/metric of a sim_*/"
-        "net_* bench drops more than X relative below the baseline (e.g. "
-        "0.15 = 15%%); applies even with --data-only",
-    )
     args = parser.parse_args()
 
     base = load(args.baseline)
@@ -139,23 +104,8 @@ def main() -> int:
     base_benches = {b["name"]: b for b in base.get("benches", [])}
     cand_benches = {b["name"]: b for b in cand.get("benches", [])}
 
-    # Concurrency-sensitive throughput floors only bind between
-    # comparable hosts: demote breaches to notes when the recorded core
-    # counts differ or only one document carries the header.
-    base_cores = base.get("hardware_concurrency")
-    cand_cores = cand.get("hardware_concurrency")
-    comparable_hosts = base_cores == cand_cores
-    host_note = ""
-    if not comparable_hosts:
-        host_note = (
-            f"hardware_concurrency {base_cores} -> {cand_cores}: "
-            "throughput floors reported as notes, not failures"
-        )
-
     failures: list[str] = []
     notes: list[str] = []
-    if host_note:
-        notes.append(host_note)
     compared = 0
     for name, old in sorted(base_benches.items()):
         new = cand_benches.get(name)
@@ -191,49 +141,6 @@ def main() -> int:
                     )
                     break
 
-        # Throughput floor: the perf-trend gate for the ingest benches.
-        # `*_per_s` names carry the "_s" timing suffix, so the data checks
-        # above skip them; this is the check that owns them. Higher is
-        # better — fail only on a drop past --threshold.
-        if args.threshold is not None and name.startswith(("sim_", "net_")):
-            # Breaches bind only between comparable hosts; on a core-count
-            # change they are informational. Shape mismatches stay hard
-            # failures either way — a vanished series is a data change.
-            floor_sink = failures if comparable_hosts else notes
-            for sname, old_vals in old_series.items():
-                if not is_throughput(sname):
-                    continue
-                new_vals = new_series.get(sname)
-                if new_vals is None or len(new_vals) != len(old_vals):
-                    failures.append(
-                        f"{name}/{sname}: throughput series missing or "
-                        f"reshaped in candidate"
-                    )
-                    continue
-                for idx, (a, b) in enumerate(zip(old_vals, new_vals)):
-                    drop = rel_shortfall(float(a), float(b))
-                    if drop > args.threshold:
-                        floor_sink.append(
-                            f"{name}/{sname}[{idx}]: {a:.0f} -> {b:.0f} "
-                            f"(-{100 * drop:.1f}% < -{100 * args.threshold:.0f}% "
-                            f"throughput floor)"
-                        )
-            for mname, old_val in old.get("metrics", {}).items():
-                if not is_throughput(mname) or not isinstance(
-                    old_val, (int, float)
-                ):
-                    continue
-                new_val = new.get("metrics", {}).get(mname)
-                if not isinstance(new_val, (int, float)):
-                    continue
-                drop = rel_shortfall(float(old_val), float(new_val))
-                if drop > args.threshold:
-                    floor_sink.append(
-                        f"{name}/{mname}: {old_val:.0f} -> {new_val:.0f} "
-                        f"(-{100 * drop:.1f}% < -{100 * args.threshold:.0f}% "
-                        f"throughput floor)"
-                    )
-
         # Timing metrics: allow up to --tol relative regression.
         if args.data_only:
             continue
@@ -264,7 +171,7 @@ def main() -> int:
                 )
 
     # Benches the baseline predates: informational only — the next seed
-    # regeneration brings them under the data/floor gates.
+    # regeneration brings them under the data gates.
     for name in sorted(set(cand_benches) - set(base_benches)):
         notes.append(
             f"{name}: new bench, absent from baseline — regenerate "
