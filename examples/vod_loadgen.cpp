@@ -95,7 +95,7 @@ ClientOutcome run_client(const ClientPlan& plan) {
   };
   const auto collect_all = [&] {
     client.flush();
-    while (acked < out.sent) acked += client.poll_tickets(on_ticket, true);
+    while (acked < out.sent) acked += client.poll_tickets(on_ticket);
   };
   for (const auto& [time, object] : plan.sends) {
     if (plan.churn_every > 0 && out.sent > 0 &&
@@ -107,7 +107,7 @@ ClientOutcome run_client(const ClientPlan& plan) {
     }
     while (out.sent - acked >= kWindow) {
       client.flush();
-      acked += client.poll_tickets(on_ticket, true);
+      acked += client.poll_tickets(on_ticket);
     }
     const std::uint64_t id = client.admit(object, time);
     sent_at[static_cast<std::size_t>(id - 1)] = clock_type::now();

@@ -12,7 +12,7 @@
 //                     degrade | observe), decided live at admission
 //                     time against the incremental channel ledger.
 //
-// A live stats line (current/peak channels, running P² delay
+// A live stats line (current/peak channels, wait-histogram delay
 // percentiles, admission counters) prints as the run progresses — the
 // queries the legacy end-of-run engine could not answer.
 //

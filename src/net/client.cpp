@@ -42,10 +42,9 @@ void BlockingClient::flush() {
   out_.clear();
 }
 
-void BlockingClient::read_some(bool block) {
+void BlockingClient::read_some() {
   auto span = decoder_.writable(std::size_t{64} << 10);
-  const auto n =
-      ::recv(fd_.get(), span.data(), span.size(), block ? 0 : MSG_DONTWAIT);
+  const auto n = ::recv(fd_.get(), span.data(), span.size(), 0);
   if (n > 0) {
     decoder_.commit(static_cast<std::size_t>(n));
     return;
@@ -59,7 +58,7 @@ void BlockingClient::read_some(bool block) {
 bool BlockingClient::next_frame(Frame& frame) { return decoder_.next_frame(frame); }
 
 std::size_t BlockingClient::poll_tickets(
-    const std::function<void(const TicketReply&)>& on_ticket, bool block) {
+    const std::function<void(const TicketReply&)>& on_ticket) {
   std::size_t tickets = 0;
   std::size_t frames = 0;
   const auto drain_frames = [&] {
@@ -98,16 +97,11 @@ std::size_t BlockingClient::poll_tickets(
     }
   };
   drain_frames();
-  if (block) {
-    // Return as soon as at least one frame of any type was processed —
-    // the round-trip helpers (ping/stats/finish) loop on their own
-    // reply queues.
-    while (frames == 0) {
-      read_some(true);
-      drain_frames();
-    }
-  } else {
-    read_some(false);
+  // Return as soon as at least one frame of any type was processed —
+  // the round-trip helpers (ping/stats/finish) loop on their own reply
+  // queues.
+  while (frames == 0) {
+    read_some();
     drain_frames();
   }
   return tickets;
@@ -117,7 +111,7 @@ std::uint64_t BlockingClient::ping(std::uint64_t nonce) {
   flush();
   append_u64_frame(out_, RecordType::kPing, nonce);
   flush();
-  while (pongs_.empty()) poll_tickets(nullptr, true);
+  while (pongs_.empty()) poll_tickets(nullptr);
   const std::uint64_t got = pongs_.front();
   pongs_.erase(pongs_.begin());
   return got;
@@ -127,7 +121,7 @@ server::LiveStats BlockingClient::stats() {
   flush();
   append_frame(out_, RecordType::kStatsRequest, {});
   flush();
-  while (stats_replies_.empty()) poll_tickets(nullptr, true);
+  while (stats_replies_.empty()) poll_tickets(nullptr);
   server::LiveStats s = stats_replies_.front();
   stats_replies_.erase(stats_replies_.begin());
   return s;
@@ -137,7 +131,7 @@ server::WireSummary BlockingClient::finish() {
   flush();
   append_frame(out_, RecordType::kFinish, {});
   flush();
-  while (finished_replies_.empty()) poll_tickets(nullptr, true);
+  while (finished_replies_.empty()) poll_tickets(nullptr);
   server::WireSummary s = finished_replies_.front();
   finished_replies_.erase(finished_replies_.begin());
   return s;

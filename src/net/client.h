@@ -42,14 +42,12 @@ class BlockingClient {
   /// Writes the staged batch fully (blocking).
   void flush();
 
-  /// Decodes replies. `block` waits for at least one frame; otherwise
-  /// only drains what the socket already holds. Every TICKET invokes
-  /// `on_ticket`; PONG/STATS/FINISHED frames are queued for their
-  /// dedicated calls. Returns the number of tickets seen. Throws
-  /// ProtocolError on a malformed stream and std::runtime_error when
-  /// the server closes mid-read.
-  std::size_t poll_tickets(const std::function<void(const TicketReply&)>& on_ticket,
-                           bool block);
+  /// Decodes replies, blocking until at least one frame has arrived.
+  /// Every TICKET invokes `on_ticket`; PONG/STATS/FINISHED frames are
+  /// queued for their dedicated calls. Returns the number of tickets
+  /// seen. Throws ProtocolError on a malformed stream and
+  /// std::runtime_error when the server closes mid-read.
+  std::size_t poll_tickets(const std::function<void(const TicketReply&)>& on_ticket);
 
   /// PING round-trip; returns the echoed nonce (must equal `nonce`).
   std::uint64_t ping(std::uint64_t nonce);
@@ -66,7 +64,7 @@ class BlockingClient {
   void set_autoflush(std::size_t bytes) noexcept { autoflush_bytes_ = bytes; }
 
  private:
-  void read_some(bool block);
+  void read_some();
   bool next_frame(Frame& frame);
 
   FdHandle fd_;

@@ -13,6 +13,7 @@
 #include "util/simd.h"
 #include "util/snapshot.h"
 #include "util/thread_pool.h"
+#include "util/wait_histogram.h"
 
 namespace smerge::server {
 
@@ -126,6 +127,12 @@ struct ServerCore::ObjectState final : PolicySink {
     last_playback = playback_start;
   }
 
+  /// Counts the waits recorded since the last tally into `into`.
+  void tally_waits(util::WaitHistogram& into) {
+    for (std::size_t i = flushed_waits; i < waits.size(); ++i) into.add(waits[i]);
+    flushed_waits = waits.size();
+  }
+
   /// Assembles the recorded schedule into the canonical IR: streams in
   /// emission order (the policies emit in start order), per-stream
   /// delays from the waits of the admissions each stream served.
@@ -179,7 +186,7 @@ struct ServerCore::ObjectState final : PolicySink {
   std::vector<double> pending;     ///< time-ordered, unprocessed arrivals
   std::vector<PostedArrival> posted_batch;  ///< this drain's post() claims
   std::size_t flushed_events = 0;  ///< events already in the global ledger
-  std::size_t flushed_waits = 0;   ///< waits already in the P2 trackers
+  std::size_t flushed_waits = 0;   ///< waits already in a wait histogram
   bool dirty = false;              ///< queued in its shard's dirty list
 
   // Session lifecycle (enable_sessions only). Sessions align 1:1 with
@@ -204,7 +211,6 @@ struct ServerCore::ObjectState final : PolicySink {
   // Serving state.
   double last_time = 0.0;     ///< monotonicity guard (ingest + admit)
   double last_playback = 0.0; ///< most recent admission (ticket assembly)
-  Index last_slot = -1;       ///< slotted batching; checkpoint record only
   std::vector<std::uint8_t> slot_has_stream;  ///< slotted batching
 };
 
@@ -231,10 +237,14 @@ struct ServerCore::Impl {
     double max_time = 0.0;  ///< latest claimed arrival time
   };
 
-  Impl(double span, double bucket) : ledger(span, bucket) {}
+  Impl(double span, double bucket, unsigned shards)
+      : shard_waits(shards), ledger(span, bucket) {}
 
   std::vector<std::unique_ptr<ObjectState>> objects;
   std::vector<std::vector<Index>> shard_dirty;  ///< per-shard mailbox index
+  /// Per-shard wait tallies of one drain's parallel phase, merged into
+  /// `waits` (and emptied) by its serial epilogue.
+  std::vector<util::WaitHistogram> shard_waits;
   std::vector<unsigned> active;  ///< drain scratch: shards with work
   std::vector<Index> dirty;      ///< drain scratch: merged dirty objects
   std::vector<std::unique_ptr<ShardMailbox>> mailboxes;  ///< post() path only
@@ -244,7 +254,6 @@ struct ServerCore::Impl {
 
   // Running counters (updated in deterministic fold order).
   Index arrivals = 0;
-  Index admitted = 0;
   Index rejected = 0;
   Index deferrals = 0;
   Index degraded = 0;
@@ -252,13 +261,10 @@ struct ServerCore::Impl {
   double cost = 0.0;
   double clock = 0.0;  ///< latest ingested/admitted time
 
-  // Live percentile trackers (P2) + exact running mean/max.
-  util::P2Quantile p50{0.50};
-  util::P2Quantile p95{0.95};
-  util::P2Quantile p99{0.99};
-  double wait_sum = 0.0;
-  double wait_max = 0.0;
-  Index wait_count = 0;
+  /// Every tallied wait, one per admitted client: live percentiles
+  /// plus the exact count, mean and max. Merged counts are independent
+  /// of shard width and drain cadence.
+  util::WaitHistogram waits;
 
   OnlinePolicy* policy = nullptr;  ///< generic path only
   /// Slot arithmetic for preview_admission: the policy's advertised
@@ -342,7 +348,7 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
   const double span =
       std::max(32.0, config_.horizon + 1.0) +
       config_.delay * static_cast<double>(config_.max_defer_slots + 2);
-  impl_ = std::make_unique<Impl>(span, bucket);
+  impl_ = std::make_unique<Impl>(span, bucket, config_.shards);
   impl_->policy = policy;
 
   impl_->objects.reserve(index_of(config_.objects));
@@ -382,6 +388,9 @@ void ServerCore::build_objects(OnlinePolicy* policy) {
 // --- Incremental folding ----------------------------------------------------
 
 std::span<const ChannelEvent> ServerCore::fold_object(ObjectState& state) {
+  // Waits a drain's parallel phase did not tally (admit() and finish()
+  // record them serially) go straight into the merged histogram.
+  state.tally_waits(impl_->waits);
   // Cost accumulates per pair, in emission order, so the float fold
   // order (and thus every snapshot byte) never depends on how the
   // ledger is filled.
@@ -396,17 +405,6 @@ std::span<const ChannelEvent> ServerCore::fold_object(ObjectState& state) {
     ++impl_->streams;
   }
   state.flushed_events = state.events.size();
-  for (std::size_t i = state.flushed_waits; i < state.waits.size(); ++i) {
-    const double w = state.waits[i];
-    impl_->p50.add(w);
-    impl_->p95.add(w);
-    impl_->p99.add(w);
-    impl_->wait_sum += w;
-    if (w > impl_->wait_max) impl_->wait_max = w;
-    ++impl_->wait_count;
-    ++impl_->admitted;
-  }
-  state.flushed_waits = state.waits.size();
   state.dirty = false;
   return std::span<const ChannelEvent>(state.events).subspan(from);
 }
@@ -432,7 +430,7 @@ void ServerCore::epilogue(std::span<const Index> objects) {
   for (const Index m : objects) flush_object(m);
 }
 
-void ServerCore::process_object(ObjectState& state) {
+void ServerCore::process_object(ObjectState& state, util::WaitHistogram& waits) {
   for (const double t : state.pending) state.policy->on_arrival(t, state);
   state.outcome.arrivals += static_cast<Index>(state.pending.size());
   // Large one-shot traces (ingest_trace) release their memory here;
@@ -443,6 +441,7 @@ void ServerCore::process_object(ObjectState& state) {
     state.pending.clear();
   }
   if (config_.enable_sessions) resolve_sessions(state);
+  state.tally_waits(waits);
 }
 
 /// Resolves every newly admitted session's media-position events to
@@ -751,13 +750,18 @@ void ServerCore::drain() {
   const auto drain_shard = [&](unsigned s) {
     if (posted) collect_posted(s);
     for (const Index m : impl_->shard_dirty[s]) {
-      process_object(*impl_->objects[index_of(m)]);
+      process_object(*impl_->objects[index_of(m)], impl_->shard_waits[s]);
     }
   };
   util::parallel_for(
       0, static_cast<std::int64_t>(active.size()),
       [&](std::int64_t i) { drain_shard(active[static_cast<std::size_t>(i)]); },
       config_.shards);
+  // Integer merges: the histogram is the same in any shard order.
+  for (const unsigned s : active) {
+    impl_->waits.merge(impl_->shard_waits[s]);
+    impl_->shard_waits[s].clear();
+  }
   if (posted) {
     if (impl_->posted_out_of_order.load(std::memory_order_relaxed)) {
       impl_->posted_out_of_order.store(false, std::memory_order_relaxed);
@@ -815,7 +819,7 @@ Ticket ServerCore::admit_policy(Index object, double time) {
   ObjectState& state = *impl_->objects[index_of(object)];
   // Preserve per-object time order if the driver mixed in mailbox
   // arrivals for this object.
-  if (!state.pending.empty()) process_object(state);
+  if (!state.pending.empty()) process_object(state, impl_->waits);
   state.policy->on_arrival(time, state);
   flush_object(object);
 
@@ -923,7 +927,6 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
   ticket.guarantee_wait =
       dg_admission(ticket.decision_time, delay, serve_slot).wait;
   state.record_admission(time, ticket.playback_start, ticket.decision_time);
-  if (serve_slot > state.last_slot) state.last_slot = serve_slot;
   flush_object(object);
   return ticket;
 }
@@ -955,7 +958,7 @@ void ServerCore::finish() {
   }
 
   // The finish epilogue: the drain's serial fold (cost, stream count,
-  // leftover P² feeds, interval checks) in object-id order, but the
+  // leftover wait tallies, interval checks) in object-id order, but the
   // ledger fill partitioned by bucket range over the pool. A drain
   // must keep the serial apply_batch, whose insertion and dirty-list
   // order the checkpoint bytes record; no checkpoint may follow
@@ -1081,7 +1084,7 @@ Snapshot ServerCore::take_snapshot() {
 LiveStats ServerCore::live_stats() {
   LiveStats stats;
   stats.arrivals = impl_->arrivals;
-  stats.admitted = impl_->admitted;
+  stats.admitted = impl_->waits.count();
   stats.rejected = impl_->rejected;
   stats.deferrals = impl_->deferrals;
   stats.degraded = impl_->degraded;
@@ -1122,17 +1125,8 @@ Index ServerCore::current_channels(double t) {
 Index ServerCore::peak_channels() { return impl_->ledger.peak(); }
 
 util::DelayProfile ServerCore::wait_profile(bool exact) {
-  util::DelayProfile profile;
-  if (impl_->wait_count == 0) return profile;
-  profile.mean = impl_->wait_sum / static_cast<double>(impl_->wait_count);
-  profile.max = impl_->wait_max;
-  if (!exact) {
-    profile.p50 = impl_->p50.estimate();
-    profile.p95 = impl_->p95.estimate();
-    profile.p99 = impl_->p99.estimate();
-    return profile;
-  }
-  exact_percentiles(profile);
+  util::DelayProfile profile = impl_->waits.profile();
+  if (exact && impl_->waits.count() > 0) exact_percentiles(profile);
   return profile;
 }
 
@@ -1155,27 +1149,7 @@ void ServerCore::exact_percentiles(util::DelayProfile& profile) const {
 
 namespace {
 
-constexpr std::string_view kCheckpointSchema = "smerge-ckpt-v1";
-
-void save_p2(util::SnapshotWriter& w, const util::P2State& s) {
-  w.f64(s.q);
-  w.i64(s.n);
-  for (const double x : s.heights) w.f64(x);
-  for (const double x : s.positions) w.f64(x);
-  for (const double x : s.desired) w.f64(x);
-  for (const double x : s.increments) w.f64(x);
-}
-
-[[nodiscard]] util::P2State load_p2(util::SnapshotReader& r) {
-  util::P2State s;
-  s.q = r.f64();
-  s.n = r.i64();
-  for (double& x : s.heights) x = r.f64();
-  for (double& x : s.positions) x = r.f64();
-  for (double& x : s.desired) x = r.f64();
-  for (double& x : s.increments) x = r.f64();
-  return s;
-}
+constexpr std::string_view kCheckpointSchema = "smerge-ckpt-v2";
 
 void save_config(util::SnapshotWriter& w, const ServerCoreConfig& c) {
   w.i64(c.objects);
@@ -1186,13 +1160,6 @@ void save_config(util::SnapshotWriter& w, const ServerCoreConfig& c) {
   w.i64(c.channel_capacity);
   w.u8(static_cast<std::uint8_t>(c.admission));
   w.i64(c.max_defer_slots);
-  // The smerge-ckpt-v1 layout keeps the positions of retired fields:
-  // the ledger_bucket width knob (f64, always 0.0: the bucket is one
-  // slot) and the slotted Delay Guaranteed mode's i64s (its media-slot
-  // count here, its emitted-slot cursor in each object record): always
-  // 0 and -1.
-  w.f64(0.0);
-  w.i64(0);
   w.boolean(c.collect_stream_intervals);
   w.boolean(c.collect_plans);
   w.boolean(c.enable_sessions);
@@ -1220,8 +1187,6 @@ void check_config(util::SnapshotReader& r, const ServerCoreConfig& c) {
   if (r.i64() != c.channel_capacity) mismatch("channel_capacity");
   if (r.u8() != static_cast<std::uint8_t>(c.admission)) mismatch("admission");
   if (r.i64() != c.max_defer_slots) mismatch("max_defer_slots");
-  if (r.f64() != 0.0) mismatch("retired bucket width");
-  if (r.i64() != 0) mismatch("retired media-slot count");
   if (r.boolean() != c.collect_stream_intervals) {
     mismatch("collect_stream_intervals");
   }
@@ -1258,19 +1223,13 @@ std::vector<std::uint8_t> ServerCore::checkpoint(
   w.blob(driver_blob);
 
   w.i64(impl_->arrivals);
-  w.i64(impl_->admitted);
   w.i64(impl_->rejected);
   w.i64(impl_->deferrals);
   w.i64(impl_->degraded);
   w.i64(impl_->streams);
   w.f64(impl_->cost);
   w.f64(impl_->clock);
-  save_p2(w, impl_->p50.state());
-  save_p2(w, impl_->p95.state());
-  save_p2(w, impl_->p99.state());
-  w.f64(impl_->wait_sum);
-  w.f64(impl_->wait_max);
-  w.i64(impl_->wait_count);
+  impl_->waits.save(w);
   impl_->ledger.save(w);
 
   w.u64(impl_->objects.size());
@@ -1334,8 +1293,6 @@ std::vector<std::uint8_t> ServerCore::checkpoint(
 
     w.f64(s.last_time);
     w.f64(s.last_playback);
-    w.i64(s.last_slot);
-    w.i64(-1);  // retired emitted-slot cursor (see save_config)
     w.u64(s.slot_has_stream.size());
     for (const std::uint8_t b : s.slot_has_stream) w.u8(b);
 
@@ -1359,19 +1316,13 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
   info.driver_blob.assign(blob.begin(), blob.end());
 
   impl_->arrivals = r.i64();
-  impl_->admitted = r.i64();
   impl_->rejected = r.i64();
   impl_->deferrals = r.i64();
   impl_->degraded = r.i64();
   impl_->streams = r.i64();
   impl_->cost = r.f64();
   impl_->clock = r.f64();
-  impl_->p50 = util::P2Quantile(load_p2(r));
-  impl_->p95 = util::P2Quantile(load_p2(r));
-  impl_->p99 = util::P2Quantile(load_p2(r));
-  impl_->wait_sum = r.f64();
-  impl_->wait_max = r.f64();
-  impl_->wait_count = r.i64();
+  impl_->waits = util::WaitHistogram::load(r);
   impl_->ledger.restore(r);
 
   const std::uint64_t object_count = r.u64();
@@ -1466,10 +1417,6 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
 
     s.last_time = r.f64();
     s.last_playback = r.f64();
-    s.last_slot = r.i64();
-    if (r.i64() != -1) {
-      throw util::SnapshotError("checkpoint: retired emitted-slot cursor set");
-    }
     const std::uint64_t slot_count = r.u64();
     if (slot_count > r.remaining()) {
       throw util::SnapshotError("checkpoint: slot flags exceed remaining");
@@ -1488,6 +1435,11 @@ RestoreInfo ServerCore::restore_state(std::span<const std::uint8_t> frame) {
     }
   }
   r.expect_end();
+  std::size_t tallied = 0;
+  for (const auto& state_ptr : impl_->objects) tallied += state_ptr->flushed_waits;
+  if (static_cast<std::int64_t>(tallied) != impl_->waits.count()) {
+    throw util::SnapshotError("checkpoint: wait histogram disagrees with the waits");
+  }
 
   // Rebuild the per-shard mailbox index for *this* core's shard width —
   // the one field the config echo lets differ.

@@ -8,12 +8,13 @@
 //    per-shard mailboxes (objects are round-robined over shards);
 //    `drain()` fans the shards out over the persistent
 //    `util::ThreadPool`, delivering each object's pending arrivals in
-//    time order to its `ObjectPolicy` (src/online/policy.h), then runs
-//    a serial epilogue in object-id order that folds the new streams
-//    into the channel ledger and the new waits into the running (P²)
-//    percentile trackers. Results never depend on the shard count: an
-//    object's evolution is a pure function of its own arrival sequence
-//    and the epilogue order is fixed.
+//    time order to its `ObjectPolicy` (src/online/policy.h) and
+//    counting its new waits into the shard's wait histogram, then runs
+//    a serial epilogue that merges the shard histograms (integer
+//    addition) and folds the new streams into the channel ledger in
+//    object-id order. Results never depend on the shard count: an
+//    object's evolution is a pure function of its own arrival sequence,
+//    the histogram merge is order-free and the epilogue order is fixed.
 //  * the serial live path — `admit(object, time)` decides one arrival
 //    immediately and returns a Ticket. Under slotted batching (where
 //    the stream an admission needs is statically known) this is where
@@ -24,7 +25,7 @@
 //    violation counting.
 //
 // Live queries — current/peak channels, running delay percentiles
-// (P² estimates or exact-on-demand) — are answerable
+// (wait-histogram estimates or exact-on-demand) — are answerable
 // at any quiescent point (between drains, or any time on the serial
 // path), not just at end-of-run. `finish()` flushes the policies'
 // horizon schedules; `take_snapshot()` then yields totals bit-identical
@@ -46,6 +47,10 @@
 #include "server/channel_ledger.h"
 #include "util/stats.h"
 
+namespace smerge::util {
+class WaitHistogram;
+}  // namespace smerge::util
+
 namespace smerge::server {
 
 /// What happens when an admission's stream does not fit the channel
@@ -65,9 +70,8 @@ enum class AdmissionMode {
 [[nodiscard]] const char* to_string(AdmissionMode mode) noexcept;
 
 /// How arrivals are served. The values are the serve byte of the
-/// `smerge-ckpt-v1` config echo; 1 was the retired slotted Delay
-/// Guaranteed mode, so its checkpoints fail restore with a serve
-/// mismatch.
+/// checkpoint's config echo; 1 was the retired slotted Delay Guaranteed
+/// mode.
 enum class ServeMode : std::uint8_t {
   kPolicy = 0,           ///< any OnlinePolicy via per-object ObjectPolicy state
   kSlottedBatching = 2,  ///< native batching: one full stream per nonempty
@@ -142,7 +146,7 @@ struct ObjectOutcome {
 };
 
 /// A mid-run view of the core: O(log buckets) ledger queries plus the
-/// running (P²) wait percentiles — no sorting, no end-of-run barrier.
+/// wait histogram's percentiles — no sorting, no end-of-run barrier.
 struct LiveStats {
   Index arrivals = 0;
   Index admitted = 0;
@@ -153,7 +157,7 @@ struct LiveStats {
   double cost = 0.0;
   Index current_channels = 0;  ///< occupancy at the latest ingested time
   Index peak_channels = 0;
-  util::DelayProfile wait;     ///< mean/max exact, percentiles P² estimates
+  util::DelayProfile wait;     ///< count/mean/max exact, percentiles estimated
 
   // Session lifecycle (zero unless enable_sessions).
   Index live_sessions = 0;     ///< playing (or paused) at the clock
@@ -298,8 +302,9 @@ class ServerCore {
   /// Peak channels so far.
   [[nodiscard]] Index peak_channels();
   /// Wait distribution: `exact` selects the nearest-rank percentiles
-  /// over all waits recorded so far (O(n)); otherwise returns the O(1)
-  /// P² running estimates.
+  /// over all waits recorded so far (O(n)); otherwise returns the wait
+  /// histogram's estimates (within util::WaitHistogram::kRelativeError
+  /// of the exact ones), O(occupied bucket range).
   [[nodiscard]] util::DelayProfile wait_profile(bool exact);
 
   /// The configuration the core was built with.
@@ -323,14 +328,14 @@ class ServerCore {
   // --- Crash consistency --------------------------------------------------
 
   /// Serializes the core's complete state — configuration echo, running
-  /// counters, P² percentile markers, the channel ledger (difference
+  /// counters, the merged wait histogram, the channel ledger (difference
   /// counters + sorted-prefix cursors), and every object's recorder,
   /// mailbox, session log and policy state — into a checksummed
-  /// `smerge-ckpt-v1` frame. Valid at any quiescent pre-finish point
-  /// (between drains / admits). `wal_records` is the number of admission
-  /// WAL records this state already covers (the replay cursor);
-  /// `driver_blob` is an opaque extension the driver gets back verbatim
-  /// from `restore_state`.
+  /// `smerge-ckpt-v2` frame (restore refuses `smerge-ckpt-v1` ones).
+  /// Valid at any quiescent pre-finish point (between drains / admits).
+  /// `wal_records` is the number of admission WAL records this state
+  /// already covers (the replay cursor); `driver_blob` is an opaque
+  /// extension the driver gets back verbatim from `restore_state`.
   [[nodiscard]] std::vector<std::uint8_t> checkpoint(
       std::uint64_t wal_records = 0,
       std::span<const std::uint8_t> driver_blob = {}) const;
@@ -366,7 +371,7 @@ class ServerCore {
   void collect_posted(unsigned shard);
   Ticket admit_slotted(Index object, double time);
   Ticket admit_policy(Index object, double time);
-  void process_object(ObjectState& state);
+  void process_object(ObjectState& state, util::WaitHistogram& waits);
   void resolve_sessions(ObjectState& state);
   void repair_object_plan(ObjectState& state);
   std::span<const ChannelEvent> fold_object(ObjectState& state);

@@ -5,10 +5,11 @@
 // soak and the loopback bench assert identity on.
 //
 // Why a digest over `Snapshot` and not over `checkpoint()` bytes: the
-// running P² percentile markers fold waits in drain order, so
-// checkpoint *bytes* depend on the drain cadence even though every
-// *result* does not. `Snapshot` is the cadence-invariant surface —
-// exact sorted percentiles, per-object outcomes in object-id order —
+// channel ledger records each bucket's insertion order and sorted
+// cursor, which follow the drains, so checkpoint *bytes* depend on the
+// drain cadence even though every *result* does not. `Snapshot` is the
+// cadence-invariant surface — exact sorted percentiles, per-object
+// outcomes in object-id order —
 // so two runs of the same workload hash equal regardless of shard
 // width, producer count or drain timing. That is exactly the identity
 // the wire path must preserve against `ingest_trace`.

@@ -72,66 +72,10 @@ class RunningStats {
     std::span<const std::span<const double>> sources, std::span<const double> qs,
     ThreadPool& pool, unsigned threads);
 
-/// The complete state of a `P2Quantile` estimator — every marker, so a
-/// restored estimator continues bit-identically from where the saved
-/// one stopped. Two states compare equal iff every field (including
-/// each marker array element) is bitwise-equal, which is exactly the
-/// oracle the checkpoint round-trip tests assert.
-struct P2State {
-  double q = 0.0;
-  std::int64_t n = 0;
-  double heights[5] = {};
-  double positions[5] = {};
-  double desired[5] = {};
-  double increments[5] = {};
-
-  friend bool operator==(const P2State&, const P2State&) = default;
-};
-
-/// Running quantile estimator (the P-squared algorithm of Jain &
-/// Chlamtac, 1985): five markers track the q-quantile of a stream in
-/// O(1) memory and O(1) per observation, without retaining samples.
-/// The estimate converges to the true quantile for stationary streams;
-/// exact answers stay available from `nearest_rank_quantiles` when the caller
-/// retains the samples — the hybrid the serving runtime uses for live
-/// (P²) vs end-of-run (exact) delay percentiles.
-class P2Quantile {
- public:
-  /// Tracks the q-quantile; requires q in (0, 1).
-  explicit P2Quantile(double q);
-
-  /// Resumes from a previously captured state; requires state.q in
-  /// (0, 1). A resumed estimator produces the same estimates as the
-  /// original would for any continuation of the stream.
-  explicit P2Quantile(const P2State& state);
-
-  /// Adds one observation.
-  void add(double x) noexcept;
-
-  /// Current estimate: exact (nearest-rank) while fewer than five
-  /// observations have arrived, the P² marker value afterwards.
-  /// 0 when empty.
-  [[nodiscard]] double estimate() const noexcept;
-
-  /// Number of observations so far.
-  [[nodiscard]] std::int64_t count() const noexcept { return n_; }
-
-  /// The full marker state, suitable for checkpointing.
-  [[nodiscard]] P2State state() const noexcept;
-
- private:
-  double q_;
-  std::int64_t n_ = 0;
-  double heights_[5] = {};    ///< marker heights (ascending)
-  double positions_[5] = {};  ///< actual marker positions (1-based)
-  double desired_[5] = {};    ///< desired marker positions
-  double increments_[5] = {}; ///< desired-position increments per add
-};
-
 /// Start-up delay distribution summary: exact mean/max plus p50/p95/p99
-/// percentiles (nearest-rank when computed exactly, P² estimates when
-/// queried live mid-run). The unit is the producer's own (the engine
-/// and the serving core use media lengths).
+/// percentiles (nearest-rank when computed exactly, `WaitHistogram`
+/// estimates when queried live mid-run). The unit is the producer's own
+/// (the engine and the serving core use media lengths).
 struct DelayProfile {
   double mean = 0.0;
   double p50 = 0.0;

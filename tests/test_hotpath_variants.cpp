@@ -96,8 +96,9 @@ struct Reference {
 
 // Both runs deliver in the same two chunks (split at the global halfway
 // index) with a drain after each: mid-run checkpoint bytes include the
-// P2 percentile marker state, which folds waits in drain order — the
-// cadence is part of the logical state (the WAL records every drain),
+// channel ledger's per-bucket insertion order and sorted cursors, which
+// follow the drains — the cadence is part of the logical state (the WAL
+// records every drain),
 // so reference and variant must share it while everything else (serial
 // vs posted, scalar vs SIMD) differs.
 Reference reference_run(const std::vector<double>& times, int family,

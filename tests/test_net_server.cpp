@@ -112,7 +112,7 @@ server::WireSummary drive_wire(NetServer& server,
     };
     const auto collect = [&] {
       client.flush();
-      while (acked < sent) acked += client.poll_tickets(on_ticket, true);
+      while (acked < sent) acked += client.poll_tickets(on_ticket);
     };
     for (const auto& [time, object] : sends) {
       if (churn_every > 0 && sent > 0 && sent % churn_every == 0) {
@@ -223,7 +223,7 @@ TEST(NetServer, PingAndStatsRoundTrip) {
   // Collect every ticket first — ping()/stats() block on the shared
   // stream and would silently consume (and discard) ticket frames.
   std::size_t got = 0;
-  while (got < 10) got += client.poll_tickets(nullptr, true);
+  while (got < 10) got += client.poll_tickets(nullptr);
   // A ticket certifies a completed drain covering its admit, so the
   // cached stats converge immediately; the retry absorbs the refresh
   // race between the drain counter and the stats cache.

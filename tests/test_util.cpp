@@ -1,5 +1,6 @@
-// Tests for the util substrate: tables, CLI parsing, statistics, the
-// parallel-for helper and the splittable RNG.
+// Tests for the util substrate: tables, CLI parsing, statistics (the
+// wait histogram among them), the parallel-for helper and the
+// splittable RNG.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +15,11 @@
 #include "util/cli.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/snapshot.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
+#include "util/wait_histogram.h"
 
 namespace smerge::util {
 namespace {
@@ -224,36 +227,176 @@ TEST(SplitMix64, ExponentialHasConfiguredMean) {
   EXPECT_NEAR(sum / kDraws, 2.5, 0.1);
 }
 
-TEST(P2Quantile, StateRoundTripContinuesBitIdentically) {
-  // Kill the estimator at every prefix of a stream: the restored copy
-  // must equal the original on every future observation, bit for bit.
-  SplitMix64 rng(314159);
-  std::vector<double> stream(257);
-  for (double& x : stream) x = rng.next_exponential(0.05);
-  for (const double q : {0.5, 0.95, 0.99}) {
-    for (const std::size_t kill : {0UL, 1UL, 3UL, 4UL, 5UL, 17UL, 200UL}) {
-      P2Quantile original(q);
-      for (std::size_t i = 0; i < kill; ++i) original.add(stream[i]);
-      const P2State saved = original.state();
-      P2Quantile restored(saved);
-      EXPECT_EQ(restored.state(), saved);
-      EXPECT_EQ(restored.estimate(), original.estimate());
-      for (std::size_t i = kill; i < stream.size(); ++i) {
-        original.add(stream[i]);
-        restored.add(stream[i]);
-        ASSERT_EQ(restored.estimate(), original.estimate())
-            << "q=" << q << " kill=" << kill << " i=" << i;
+// --- WaitHistogram -----------------------------------------------------------
+
+/// Named sample streams for the histogram's accuracy and merge tests.
+struct SampleStream {
+  const char* name;
+  std::vector<double> values;
+};
+
+std::vector<SampleStream> histogram_streams() {
+  SplitMix64 rng(4242);
+  std::vector<SampleStream> streams;
+  std::vector<double> uniform(20000);
+  for (double& x : uniform) x = rng.next_double() * 0.02;
+  streams.push_back({"uniform", uniform});
+  std::vector<double> exponential(20000);
+  for (double& x : exponential) x = rng.next_exponential(0.005);
+  streams.push_back({"exponential", exponential});
+  // Few distinct values, spread over many octaves: long runs of ties
+  // around every rank.
+  std::vector<double> duplicates(5000);
+  for (double& x : duplicates) {
+    const auto mantissa = static_cast<double>(rng.next() % 4);
+    const auto octave = static_cast<int>(rng.next() % 30);
+    x = std::ldexp(1.0 + 0.25 * mantissa, -octave);
+  }
+  streams.push_back({"heavy-duplicate", duplicates});
+  // Mostly exact zeros and values below the smallest bucket.
+  std::vector<double> zeros(5000);
+  for (double& x : zeros) {
+    const std::uint64_t kind = rng.next() % 10;
+    x = kind < 6 ? 0.0 : kind < 8 ? 1e-15 * rng.next_double() : rng.next_double();
+  }
+  streams.push_back({"zero-heavy", zeros});
+  return streams;
+}
+
+WaitHistogram fill(std::span<const double> values) {
+  WaitHistogram h;
+  for (const double x : values) h.add(x);
+  return h;
+}
+
+TEST(WaitHistogram, EstimatesStayWithinTheDocumentedRelativeError) {
+  const std::vector<double> qs{0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0};
+  for (const SampleStream& stream : histogram_streams()) {
+    SCOPED_TRACE(stream.name);
+    std::vector<double> sorted = stream.values;
+    std::sort(sorted.begin(), sorted.end());
+    const WaitHistogram h = fill(stream.values);
+    std::vector<double> got(qs.size());
+    h.quantiles(qs, got);
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const double exact = quantile_sorted(sorted, qs[i]);
+      if (exact < WaitHistogram::kMinValue) {
+        EXPECT_EQ(got[i], 0.0) << "q=" << qs[i];
+      } else {
+        EXPECT_LE(std::abs(got[i] - exact), WaitHistogram::kRelativeError * exact)
+            << "q=" << qs[i] << " exact=" << exact;
       }
-      EXPECT_EQ(restored.state(), original.state());
-      EXPECT_EQ(restored.count(), original.count());
+    }
+    EXPECT_EQ(h.count(), static_cast<std::int64_t>(sorted.size()));
+    EXPECT_EQ(h.max(), sorted.back());
+    double sum = 0.0;
+    for (const double x : sorted) sum += x;
+    EXPECT_NEAR(h.mean(), sum / static_cast<double>(sorted.size()), 1e-12);
+    // The profile is the same quantiles, plus the exact mean and max.
+    const DelayProfile profile = h.profile();
+    EXPECT_EQ(profile.p50, got[3]);
+    EXPECT_EQ(profile.p95, got[5]);
+    EXPECT_EQ(profile.p99, got[6]);
+    EXPECT_EQ(profile.max, h.max());
+    EXPECT_EQ(profile.mean, h.mean());
+  }
+}
+
+TEST(WaitHistogram, EdgeCasesAndValidation) {
+  WaitHistogram empty;
+  EXPECT_EQ(empty.count(), 0);
+  EXPECT_EQ(empty.mean(), 0.0);
+  const DelayProfile none = empty.profile();
+  EXPECT_EQ(none.p50, 0.0);
+  EXPECT_EQ(none.p99, 0.0);
+  EXPECT_EQ(none.max, 0.0);
+  WaitHistogram h;
+  h.add(3.0);
+  double out[2];
+  const double qs[] = {0.0, 1.0};
+  h.quantiles(qs, out);
+  EXPECT_NEAR(out[0], 3.0, 3.0 * WaitHistogram::kRelativeError);
+  EXPECT_EQ(out[1], 3.0);  // capped at the exact maximum
+  // Out-of-range samples: negatives count as zero, huge ones in the top
+  // bucket; the count and the maximum stay exact.
+  h.add(-1.0);
+  h.add(1e9);
+  EXPECT_EQ(h.count(), 3);
+  EXPECT_EQ(h.max(), 1e9);
+  h.quantiles(qs, out);
+  EXPECT_EQ(out[0], 0.0);
+  const double descending[] = {0.9, 0.5};
+  EXPECT_THROW(h.quantiles(descending, out), std::invalid_argument);
+  const double too_big[] = {0.5, 1.5};
+  EXPECT_THROW(h.quantiles(too_big, out), std::invalid_argument);
+  EXPECT_THROW(h.quantiles(qs, std::span<double>(out, 1)), std::invalid_argument);
+  h.clear();
+  EXPECT_EQ(h, WaitHistogram{});
+}
+
+TEST(WaitHistogram, MergeIsIndependentOfPartitionAndOrder) {
+  const std::vector<double> qs{0.5, 0.95, 0.99};
+  SplitMix64 rng(77);
+  for (const SampleStream& stream : histogram_streams()) {
+    SCOPED_TRACE(stream.name);
+    const WaitHistogram whole = fill(stream.values);
+    std::vector<double> expected(qs.size());
+    whole.quantiles(qs, expected);
+    for (const std::size_t parts : {2u, 3u, 7u}) {
+      // A random partition (every part keeps stream order) ...
+      std::vector<WaitHistogram> pieces(parts);
+      for (const double x : stream.values) pieces[rng.next() % parts].add(x);
+      // ... merged front to back, back to front, and pairwise.
+      WaitHistogram forward;
+      for (const WaitHistogram& p : pieces) forward.merge(p);
+      WaitHistogram backward;
+      for (std::size_t i = parts; i-- > 0;) backward.merge(pieces[i]);
+      WaitHistogram pairs = pieces[0];
+      for (std::size_t i = 1; i + 1 < parts; i += 2) {
+        WaitHistogram pair = pieces[i];
+        pair.merge(pieces[i + 1]);
+        pairs.merge(pair);
+      }
+      if (parts % 2 == 0) pairs.merge(pieces[parts - 1]);
+      for (const WaitHistogram* merged : {&forward, &backward, &pairs}) {
+        EXPECT_EQ(*merged, whole);
+        EXPECT_EQ(merged->mean(), whole.mean());
+        std::vector<double> got(qs.size());
+        merged->quantiles(qs, got);
+        EXPECT_EQ(got, expected);
+      }
     }
   }
-  // States of different streams (or positions) compare unequal.
-  P2Quantile a(0.5);
-  P2Quantile b(0.5);
-  a.add(1.0);
-  EXPECT_FALSE(a.state() == b.state());
-  EXPECT_THROW(P2Quantile bad(P2State{}), std::invalid_argument);
+}
+
+TEST(WaitHistogram, SaveRestoreRoundTripIsByteIdentical) {
+  std::vector<SampleStream> streams = histogram_streams();
+  streams.push_back({"empty", {}});
+  streams.push_back({"zeros only", {0.0, 0.0, 1e-20}});
+  for (const SampleStream& stream : streams) {
+    SCOPED_TRACE(stream.name);
+    const WaitHistogram original = fill(stream.values);
+    SnapshotWriter first;
+    original.save(first);
+    SnapshotReader reader(first.payload());
+    const WaitHistogram restored = WaitHistogram::load(reader);
+    reader.expect_end();
+    EXPECT_EQ(restored, original);
+    SnapshotWriter second;
+    restored.save(second);
+    const auto bytes = [](const SnapshotWriter& w) {
+      return std::vector<std::uint8_t>(w.payload().begin(), w.payload().end());
+    };
+    EXPECT_EQ(bytes(first), bytes(second));
+  }
+  // A range past the last bucket is refused.
+  SnapshotWriter bad;
+  bad.u64(0);
+  bad.u64(WaitHistogram::kBuckets);
+  bad.u64(1);
+  bad.u64(1);
+  SnapshotReader reader(bad.payload());
+  EXPECT_THROW((void)WaitHistogram::load(reader), SnapshotError);
 }
 
 TEST(QuantileSorted, NearestRankConventions) {
