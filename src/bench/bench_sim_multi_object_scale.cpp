@@ -101,7 +101,7 @@ SMERGE_BENCH(sim_multi_object_scale,
     // off when arrivals are denser than the delay.
     result.ok = result.ok && imm.wait.max == 0.0 &&
                 imm.guarantee_violations == 0 && bat.guarantee_violations == 0 &&
-                !violates_guarantee(bat.wait.max, kDelay) &&
+                !server::violates_guarantee(bat.wait.max, kDelay) &&
                 bat.streams_served < imm.streams_served;
     objects_series.values.push_back(static_cast<double>(row.objects));
     arrivals_series.values.push_back(static_cast<double>(imm.total_arrivals));

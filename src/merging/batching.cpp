@@ -6,6 +6,10 @@
 
 namespace smerge::merging {
 
+double batch_start_of(double t, double delay) {
+  return std::ceil(t / delay) * delay;
+}
+
 std::vector<double> batch_arrivals(const std::vector<double>& arrivals, double delay) {
   if (!(delay > 0.0)) {
     throw std::invalid_argument("batch_arrivals: delay must be positive");
@@ -18,9 +22,7 @@ std::vector<double> batch_arrivals(const std::vector<double>& arrivals, double d
       throw std::invalid_argument("batch_arrivals: arrivals must be nondecreasing");
     }
     prev = t;
-    // Interval ((k-1)D, kD] -> start kD; an arrival exactly at a boundary
-    // is served by the stream starting there (zero delay).
-    const double start = std::ceil(t / delay) * delay;
+    const double start = batch_start_of(t, delay);
     if (starts.empty() || start > starts.back()) starts.push_back(start);
   }
   return starts;

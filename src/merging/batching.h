@@ -1,10 +1,11 @@
 // Batching front-ends and the non-merging baselines of Section 4.2.
 //
-// * `batch_arrivals` quantizes raw client arrivals to the ends of D-long
-//   intervals — a stream starts at the end of an interval only if at
-//   least one client arrived inside it (this is what distinguishes the
-//   batched dyadic algorithm from the Delay Guaranteed algorithm, which
-//   starts a stream every interval unconditionally).
+// * `batch_start_of` maps one arrival to the end of its D-long
+//   interval; `batch_arrivals` quantizes a whole trace that way — a
+//   stream starts at the end of an interval only if at least one client
+//   arrived inside it (this is what distinguishes the batched dyadic
+//   algorithm from the Delay Guaranteed algorithm, which starts a
+//   stream every interval unconditionally).
 // * `unicast_cost` is the no-multicast baseline (one full stream per
 //   arrival); `batching_cost` is batching alone (one full stream per
 //   nonempty interval) — the Theorem-14 comparison point.
@@ -16,6 +17,13 @@
 #include "merging/general_forest.h"
 
 namespace smerge::merging {
+
+/// The batching interval end serving an arrival at `t`: intervals are
+/// ((k-1)D, kD] and an arrival exactly on a boundary is served by the
+/// stream starting there. The single home of the mapping, shared by
+/// `batch_arrivals`, the batching policies (online/policy) and
+/// ServerCore::preview_admission.
+[[nodiscard]] double batch_start_of(double t, double delay);
 
 /// Maps each arrival to the end of its batching interval of length
 /// `delay` (intervals are ((k-1)D, kD], producing start time kD), and

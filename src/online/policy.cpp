@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "merging/batching.h"
 #include "util/snapshot.h"
 
 namespace smerge {
@@ -23,10 +24,6 @@ DgAdmission dg_admission(double arrival, double slot_duration, Index slot) {
 DgAdmission dg_admission(double arrival, double slot_duration) {
   return dg_admission(arrival, slot_duration,
                       dg_slot_of(arrival, slot_duration));
-}
-
-double batch_start_of(double t, double delay) {
-  return std::ceil(t / delay) * delay;
 }
 
 namespace {
@@ -87,7 +84,7 @@ class BatchingObjectPolicy final : public ObjectPolicy {
   explicit BatchingObjectPolicy(double delay) : delay_(delay) {}
 
   void on_arrival(double time, PolicySink& sink) override {
-    const double start = batch_start_of(time, delay_);
+    const double start = merging::batch_start_of(time, delay_);
     if (start > last_start_) {
       sink.start_stream(start, 1.0);
       last_start_ = start;
@@ -123,7 +120,7 @@ class GreedyObjectPolicy final : public ObjectPolicy {
 
   void on_arrival(double time, PolicySink& sink) override {
     if (batched_) {
-      const double start = batch_start_of(time, delay_);
+      const double start = merging::batch_start_of(time, delay_);
       sink.admit(time, start);
       if (start > last_start_) {
         merger_.arrive(start);

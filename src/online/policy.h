@@ -62,13 +62,6 @@ struct DgAdmission {
                                        Index slot);
 [[nodiscard]] DgAdmission dg_admission(double arrival, double slot_duration);
 
-/// The batching interval end serving an arrival at `t`: intervals are
-/// ((k-1)D, kD] and an arrival exactly on a boundary is served by the
-/// stream starting there (matches merging::batch_arrivals). The single
-/// home of the mapping, shared by the batching policies and
-/// ServerCore::preview_admission.
-[[nodiscard]] double batch_start_of(double t, double delay);
-
 /// Whether a policy's per-arrival decision is a closed-form slot
 /// mapping. A policy advertising a slotted kind promises its on_arrival
 /// admits *exactly* at that mapping — same floating-point expression —
@@ -77,7 +70,7 @@ struct DgAdmission {
 enum class SlotKind : std::uint8_t {
   kNone = 0,   ///< decided at delivery: only the admission is certified
   kDgSlot,     ///< admit at dg_admission(t, D).start
-  kBatchSlot,  ///< admit at batch_start_of(t, D)
+  kBatchSlot,  ///< admit at merging::batch_start_of(t, D)
 };
 
 /// Where a policy records its decisions; implemented by the engine.

@@ -5,8 +5,9 @@
 // soak and the loopback bench assert identity on.
 //
 // Why a digest over `Snapshot` and not over `checkpoint()` bytes: the
-// channel ledger records each bucket's insertion order and sorted
-// cursor, which follow the drains, so checkpoint *bytes* depend on the
+// channel ledger's record is canonical, but the live `cost` is a float
+// sum taken in object-id order per drain and each object's flush
+// cursors follow the drains, so checkpoint *bytes* still depend on the
 // drain cadence even though every *result* does not. `Snapshot` is the
 // cadence-invariant surface — exact sorted percentiles, per-object
 // outcomes in object-id order —

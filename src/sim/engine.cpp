@@ -7,10 +7,6 @@
 
 namespace smerge::sim {
 
-bool violates_guarantee(double wait, double delay) noexcept {
-  return server::violates_guarantee(wait, delay);
-}
-
 server::ServerCoreConfig core_config(const EngineConfig& config) {
   server::ServerCoreConfig core;
   core.objects = config.workload.objects;
@@ -25,29 +21,6 @@ server::ServerCoreConfig core_config(const EngineConfig& config) {
   core.enable_sessions = config.churn.enabled();
   core.chunking = config.chunking;
   return core;
-}
-
-EngineResult to_engine_result(server::Snapshot&& snapshot) {
-  EngineResult result;
-  result.total_arrivals = snapshot.total_arrivals;
-  result.total_streams = snapshot.total_streams;
-  result.streams_served = snapshot.streams_served;
-  result.wait = snapshot.wait;
-  result.peak_concurrency = snapshot.peak_concurrency;
-  result.guarantee_violations = snapshot.guarantee_violations;
-  result.capacity_violations = snapshot.capacity_violations;
-  result.total_sessions = snapshot.total_sessions;
-  result.session_pauses = snapshot.session_pauses;
-  result.session_seeks = snapshot.session_seeks;
-  result.session_abandons = snapshot.session_abandons;
-  result.plan_truncations = snapshot.plan_truncations;
-  result.plan_reroots = snapshot.plan_reroots;
-  result.retracted_cost = snapshot.retracted_cost;
-  result.extended_cost = snapshot.extended_cost;
-  result.per_object = std::move(snapshot.per_object);
-  result.stream_intervals = std::move(snapshot.stream_intervals);
-  result.plans = std::move(snapshot.plans);
-  return result;
 }
 
 EngineResult run_engine(const EngineConfig& config, OnlinePolicy& policy) {
@@ -99,7 +72,7 @@ EngineResult run_engine(const EngineConfig& config, OnlinePolicy& policy) {
   // drain() shards the mailboxes over the pool; finish() flushes the
   // horizon schedules and runs the fixed-order reduction.
   core.finish();
-  return to_engine_result(core.take_snapshot());
+  return core.take_snapshot();
 }
 
 }  // namespace smerge::sim

@@ -25,11 +25,8 @@
 #ifndef SMERGE_SIM_ENGINE_H
 #define SMERGE_SIM_ENGINE_H
 
-#include <vector>
-
 #include "core/plan.h"
 #include "online/policy.h"
-#include "schedule/channels.h"
 #include "server/server_core.h"
 #include "sim/workload.h"
 #include "util/stats.h"
@@ -69,51 +66,16 @@ using DelayProfile = util::DelayProfile;
 /// Per-object outcome (index = object id).
 using ObjectOutcome = server::ObjectOutcome;
 
-/// Aggregate outcome of a run. Deterministic for a fixed config —
-/// including `threads`, which never changes any field.
-struct EngineResult {
-  Index total_arrivals = 0;
-  Index total_streams = 0;
-  double streams_served = 0.0;      ///< total cost / media length
-  DelayProfile wait;
-  Index peak_concurrency = 0;       ///< server-wide channel peak
-  Index guarantee_violations = 0;   ///< sum of per-object violations
-  Index capacity_violations = 0;    ///< stream starts above channel_capacity
-  // Session lifecycle totals (zero unless churn is enabled).
-  Index total_sessions = 0;
-  Index session_pauses = 0;
-  Index session_seeks = 0;
-  Index session_abandons = 0;
-  Index plan_truncations = 0;       ///< stream ends pulled earlier by repair
-  Index plan_reroots = 0;           ///< subtrees detached and re-rooted
-  double retracted_cost = 0.0;      ///< media units cancelled by repair
-  double extended_cost = 0.0;       ///< media units added by re-roots
-  std::vector<ObjectOutcome> per_object;
-  /// All transmission intervals sorted by start time (deterministic:
-  /// ties keep object-id order); empty unless
-  /// `EngineConfig::collect_stream_intervals` is set. Feed to
-  /// `assign_channels` for a physical channel plan.
-  std::vector<StreamInterval> stream_intervals;
-  /// Per-object canonical plans (index = object id, media length 1.0);
-  /// empty unless `EngineConfig::collect_plans` is set. Each passes
-  /// `plan::verify` for the shipped policies — the cross-check the
-  /// engine tests and benches run.
-  std::vector<plan::MergePlan> plans;
-};
-
-/// True when `wait` exceeds `delay` beyond floating-point slot-boundary
-/// rounding — the single definition of a guarantee violation (the
-/// serving core's `server::violates_guarantee`), shared by the engine,
-/// the benches and the tests.
-[[nodiscard]] bool violates_guarantee(double wait, double delay) noexcept;
+/// Aggregate outcome of a run: the core's end-of-run snapshot (its
+/// admission counters stay zero — the engine admits in observe mode).
+/// Deterministic for a fixed config — including `threads`, which never
+/// changes any field.
+using EngineResult = server::Snapshot;
 
 /// Builds the ServerCore configuration an engine run uses — exposed so
 /// benches and examples can drive the core directly (live queries,
 /// chunked ingest) on the exact engine setup.
 [[nodiscard]] server::ServerCoreConfig core_config(const EngineConfig& config);
-
-/// Maps the core's end-of-run snapshot onto the engine result shape.
-[[nodiscard]] EngineResult to_engine_result(server::Snapshot&& snapshot);
 
 /// Runs the simulation. `policy.prepare(delay, horizon)` is invoked
 /// once (single-threaded) before objects are sharded. Throws

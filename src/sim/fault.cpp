@@ -258,7 +258,7 @@ FaultRunResult run_engine_with_faults(const EngineConfig& config,
   }
 
   core->finish();
-  out.result = to_engine_result(core->take_snapshot());
+  out.result = core->take_snapshot();
   return out;
 }
 

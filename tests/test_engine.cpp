@@ -137,7 +137,7 @@ TEST(Engine, CollectedPlansVerifyForEveryPolicy) {
           << policy->name() << " object " << m;
       // Waits recorded into the IR never exceed the configured delay
       // (the greedy immediate policy admits at the arrival instant).
-      EXPECT_FALSE(violates_guarantee(report.max_delay, config.delay))
+      EXPECT_FALSE(server::violates_guarantee(report.max_delay, config.delay))
           << policy->name() << " object " << m;
       planned_cost += report.total_cost;
       planned_streams += p.size();
@@ -234,7 +234,7 @@ TEST(Engine, WaitGuaranteesHold) {
       outcome = run_engine(config, policy);
     }
     EXPECT_GT(outcome.wait.p99, 0.0);
-    EXPECT_FALSE(violates_guarantee(outcome.wait.max, config.delay));
+    EXPECT_FALSE(server::violates_guarantee(outcome.wait.max, config.delay));
     EXPECT_EQ(outcome.guarantee_violations, 0);
     EXPECT_GE(outcome.wait.p50, 0.0);
     EXPECT_LE(outcome.wait.p50, outcome.wait.p95);

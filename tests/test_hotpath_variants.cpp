@@ -96,11 +96,11 @@ struct Reference {
 
 // Both runs deliver in the same two chunks (split at the global halfway
 // index) with a drain after each: mid-run checkpoint bytes include the
-// channel ledger's per-bucket insertion order and sorted cursors, which
-// follow the drains — the cadence is part of the logical state (the WAL
-// records every drain),
-// so reference and variant must share it while everything else (serial
-// vs posted, scalar vs SIMD) differs.
+// per-object flush cursors and the cost summed in object-id order per
+// drain, which follow the drains (the ledger record does not: it is
+// canonical) — the cadence is part of the logical state (the WAL
+// records every drain), so reference and variant must share it while
+// everything else (serial vs posted, scalar vs SIMD) differs.
 Reference reference_run(const std::vector<double>& times, int family,
                         unsigned shards) {
   const ScalarGuard guard(true);

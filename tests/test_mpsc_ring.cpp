@@ -1,9 +1,8 @@
 // Tests for the lock-free hot-path ingest: the bounded MPSC ring and
 // its never-drop spill mailbox (util/mpsc_ring.h), multi-producer
-// interleaving under real threads, ChannelLedger::apply_batch vs the
-// per-event path, and the drain-equivalence contract — ring-fed
-// ServerCore snapshots bit-identical to the serial ingest_trace
-// baseline across shard widths and ring sizes.
+// interleaving under real threads, and the drain-equivalence contract
+// — ring-fed ServerCore snapshots bit-identical to the serial
+// ingest_trace baseline across shard widths and ring sizes.
 #include "util/mpsc_ring.h"
 
 #include <gtest/gtest.h>
@@ -17,10 +16,8 @@
 #include <vector>
 
 #include "online/policy.h"
-#include "server/channel_ledger.h"
 #include "server/server_core.h"
 #include "sim/engine.h"
-#include "util/rng.h"
 
 namespace smerge {
 namespace {
@@ -160,46 +157,6 @@ TEST(MpscMailbox, RingPathPreservesPerProducerFifo) {
     EXPECT_EQ(item.seq, next[item.producer]);
     ++next[item.producer];
   }
-}
-
-// --- ChannelLedger::apply_batch vs the per-event path -----------------------
-
-TEST(ChannelLedger, ApplyBatchMatchesPerEventPath) {
-  util::SplitMix64 rng(7);
-  std::vector<server::LedgerEvent> events;
-  for (int i = 0; i < 400; ++i) {
-    const double start = rng.next_double() * 9.0;
-    const double end = start + 0.05 + rng.next_double() * 2.0;
-    const auto object = static_cast<Index>(i % 11);
-    events.push_back({start, object, +1, true});
-    events.push_back({end, object, -1, false});
-  }
-
-  server::ChannelLedger one_by_one(12.0, 0.25);
-  for (std::size_t i = 0; i + 1 < events.size(); i += 2) {
-    one_by_one.add_interval(events[i].time, events[i + 1].time,
-                            events[i].object);
-  }
-  server::ChannelLedger batched(12.0, 0.25);
-  // Apply in uneven chunks so batches straddle bucket and sort-state
-  // boundaries.
-  std::size_t offset = 0;
-  std::size_t chunk = 2;
-  while (offset < events.size()) {
-    const std::size_t n = std::min(chunk, events.size() - offset);
-    batched.apply_batch({events.data() + offset, n});
-    offset += n;
-    chunk = chunk * 3 % 97 + 2;
-    chunk -= chunk % 2;  // keep +1/-1 pairs intact per batch
-  }
-
-  EXPECT_EQ(batched.events(), one_by_one.events());
-  EXPECT_EQ(batched.peak(), one_by_one.peak());
-  for (double t = 0.0; t < 12.0; t += 0.17) {
-    EXPECT_EQ(batched.occupancy_at(t), one_by_one.occupancy_at(t)) << t;
-    EXPECT_EQ(batched.max_over(t, t + 1.3), one_by_one.max_over(t, t + 1.3));
-  }
-  EXPECT_EQ(batched.capacity_violations(5), one_by_one.capacity_violations(5));
 }
 
 // --- ServerCore drain equivalence -------------------------------------------

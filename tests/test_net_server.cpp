@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "merging/batching.h"
 #include "net/client.h"
 #include "net/event_loop.h"
 #include "net/server.h"
@@ -196,7 +197,7 @@ TEST(NetServer, TicketsCarryBatchArithmetic) {
   ASSERT_EQ(tickets.size(), 8u * 10u);
   for (const server::Ticket& t : tickets) {
     EXPECT_TRUE(t.admitted);
-    const double expected_start = batch_start_of(t.arrival, kDelay);
+    const double expected_start = merging::batch_start_of(t.arrival, kDelay);
     EXPECT_EQ(t.playback_start, expected_start);
     EXPECT_EQ(t.wait, expected_start - t.arrival);
     EXPECT_EQ(t.guarantee_wait, expected_start - t.decision_time);

@@ -243,7 +243,7 @@ TEST(ServerCore, ChunkedIngestMatchesOneShotEngineRun) {
     EXPECT_EQ(live.wait.mean, exact.mean);
   }
   core.finish();
-  const sim::EngineResult chunked = sim::to_engine_result(core.take_snapshot());
+  const sim::EngineResult chunked = core.take_snapshot();
 
   EXPECT_EQ(chunked.total_arrivals, reference.total_arrivals);
   EXPECT_EQ(chunked.total_streams, reference.total_streams);
@@ -740,10 +740,10 @@ TEST(ServerCore, SlotTicketsMatchAdmitAtBoundaries) {
 // slotted Delay Guaranteed serving mode was retired (the digests of the
 // three policy runs date back to before finish() gained its
 // bucket-partitioned ledger fill and selection-based quantiles); their
-// mid-run checkpoint bytes were re-recorded for smerge-ckpt-v2. Every
-// shard width must still land on the same digest: the fold order, the
-// ledger's canonical event order and the nearest-rank percentiles are
-// unchanged.
+// mid-run checkpoint bytes were re-recorded for smerge-ckpt-v3 (the
+// canonical ledger record). Every shard width must still land on the
+// same digest: the fold order, the ledger's canonical event order and
+// the nearest-rank percentiles are unchanged.
 enum class DigestRun {
   kGreedyBatched,
   kDgPolicy,
@@ -825,8 +825,7 @@ Snapshot digest_snapshot(DigestRun run, unsigned shards,
     core->drain();  // what finish() would do first
     capture();
   } else {
-    // Three waves: the first two end in live queries (a flushed,
-    // sorted ledger), the last leaves its buckets dirty for finish().
+    // Three waves, the first two ending in live queries.
     for (int wave = 0; wave < 3; ++wave) {
       const double lo = workload.horizon * wave / 3.0;
       const double hi = workload.horizon * (wave + 1) / 3.0;
@@ -856,13 +855,13 @@ struct PinnedRun {
 
 constexpr PinnedRun kPinnedRuns[] = {
     {DigestRun::kGreedyBatched, "greedy-batched", 0xcc4f567a182347d6ull,
-     0xdbc132a2999768d1ull},
+     0x01ea5d1d1080ccafull},
     {DigestRun::kDgPolicy, "dg-policy", 0xb3721ed08361dab0ull,
-     0xb5b77de1c03f21bfull},
+     0xc0a5a3170b3b6ec0ull},
     {DigestRun::kSlottedBatchingDefer, "slotted-batching-defer",
-     0x5f8a23071d882bebull, 0x1e364a08fc2b9d56ull},
+     0x5f8a23071d882bebull, 0x29605e7805a71562ull},
     {DigestRun::kSessions, "sessions", 0xe3a2656da12601abull,
-     0xf5ee51aa46c36f38ull},
+     0x447bb6b0e94b6b65ull},
 };
 
 TEST(ServerCore, FinishDigestsArePinned) {
@@ -902,13 +901,15 @@ TEST(ServerCore, CheckpointBytesArePinned) {
 
 // smerge-ckpt-v2 replaced v1's P² marker sets with the wait histogram
 // and dropped the retired slotted Delay Guaranteed and bucket-width
-// positions, so a v1 frame is refused outright. The retired mode's
-// serve byte (1) is still a config mismatch.
+// positions; v3 dropped v2's ledger sort cursors and dirty list and
+// writes each bucket in canonical order. Older frames are refused
+// outright. The retired mode's serve byte (1) is still a config
+// mismatch.
 TEST(ServerCore, CheckpointV1FramesAreRefused) {
   ServerCoreConfig config;
   config.serve = ServeMode::kSlottedBatching;
   const std::vector<std::uint8_t> frame = ServerCore(config).checkpoint();
-  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v2");
+  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v3");
   const auto body = reader.raw(reader.remaining());
   const auto restore_as = [&](std::string_view schema, std::size_t at,
                               std::uint8_t byte) {
@@ -921,7 +922,7 @@ TEST(ServerCore, CheckpointV1FramesAreRefused) {
   // The serve byte follows objects, delay, horizon and shards.
   const std::size_t serve = 32;
   ASSERT_EQ(body[serve], 2);
-  EXPECT_NO_THROW(restore_as("smerge-ckpt-v2", serve, 2));
+  EXPECT_NO_THROW(restore_as("smerge-ckpt-v3", serve, 2));
   const auto refusal = [&](std::string_view schema, std::uint8_t serve_byte) {
     try {
       restore_as(schema, serve, serve_byte);
@@ -931,7 +932,8 @@ TEST(ServerCore, CheckpointV1FramesAreRefused) {
     return std::string("restored");
   };
   EXPECT_NE(refusal("smerge-ckpt-v1", 2).find("schema mismatch"), std::string::npos);
-  EXPECT_NE(refusal("smerge-ckpt-v2", 1).find("config mismatch: serve"),
+  EXPECT_NE(refusal("smerge-ckpt-v2", 2).find("schema mismatch"), std::string::npos);
+  EXPECT_NE(refusal("smerge-ckpt-v3", 1).find("config mismatch: serve"),
             std::string::npos);
 }
 
@@ -944,7 +946,7 @@ TEST(ServerCore, CheckpointRefusesAHistogramThatDisagreesWithTheWaits) {
   ServerCore core(config);
   for (int i = 0; i < 5; ++i) (void)core.admit(0, 0.3 * i);
   const std::vector<std::uint8_t> frame = core.checkpoint();
-  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v2");
+  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v3");
   const auto body = reader.raw(reader.remaining());
   // The histogram's zero count (u64) follows the 85-byte config echo,
   // the WAL cursor, the empty driver blob's length and seven counters.
@@ -955,13 +957,61 @@ TEST(ServerCore, CheckpointRefusesAHistogramThatDisagreesWithTheWaits) {
   util::SnapshotWriter w;
   w.raw(payload);
   try {
-    (void)ServerCore(config).restore_state(w.frame("smerge-ckpt-v2"));
+    (void)ServerCore(config).restore_state(w.frame("smerge-ckpt-v3"));
     ADD_FAILURE() << "a histogram with one extra count was restored";
   } catch (const util::SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("wait histogram disagrees"), std::string::npos)
         << e.what();
   }
   EXPECT_NO_THROW((void)ServerCore(config).restore_state(frame));
+}
+
+// Each object's recorder holds (+1 start, -1 end) pairs, which the cost
+// fold and the ledger fill read two at a time; restore refuses a frame
+// whose events are not such pairs.
+TEST(ServerCore, CheckpointRefusesStreamEventsThatAreNotPairs) {
+  ServerCoreConfig config;
+  config.serve = ServeMode::kSlottedBatching;
+  ServerCore core(config);
+  const Ticket ticket = core.admit(0, 0.3);
+  const std::vector<std::uint8_t> frame = core.checkpoint();
+  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v3");
+  const auto body = reader.raw(reader.remaining());
+  // Object 0's record: its event count (2), then the start and its +1.
+  // The ledger files the same time beside the object id, not a delta.
+  util::SnapshotWriter needle;
+  needle.u64(2);
+  needle.f64(ticket.playback_start);
+  needle.i64(1);
+  const auto it = std::search(body.begin(), body.end(), needle.payload().begin(),
+                              needle.payload().end());
+  ASSERT_NE(it, body.end());
+  const auto at = static_cast<std::size_t>(it - body.begin());
+  const auto refusal = [&](std::vector<std::uint8_t> payload) {
+    util::SnapshotWriter w;
+    w.raw(payload);
+    try {
+      (void)ServerCore(config).restore_state(w.frame("smerge-ckpt-v3"));
+    } catch (const util::SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string("restored");
+  };
+  const std::vector<std::uint8_t> intact(body.begin(), body.end());
+  EXPECT_EQ(refusal(intact), "restored");
+  // A delta of 3 in place of the start's +1.
+  std::vector<std::uint8_t> bad_delta = intact;
+  bad_delta[at + 16] = 3;
+  EXPECT_NE(refusal(bad_delta).find("(+1, -1) pair"), std::string::npos);
+  // A trailing unpaired +1 after the pair, the count raised to match.
+  std::vector<std::uint8_t> unpaired = intact;
+  util::SnapshotWriter extra;
+  extra.f64(ticket.playback_start + 0.5);
+  extra.i64(1);
+  unpaired.insert(unpaired.begin() + static_cast<std::ptrdiff_t>(at + 8 + 32),
+                  extra.payload().begin(), extra.payload().end());
+  unpaired[at] = 3;
+  EXPECT_NE(refusal(unpaired).find("unpaired stream event"), std::string::npos);
 }
 
 }  // namespace
