@@ -1,14 +1,11 @@
 #include "merging/batching.h"
 
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
-namespace smerge::merging {
+#include "core/slot_clock.h"
 
-double batch_start_of(double t, double delay) {
-  return std::ceil(t / delay) * delay;
-}
+namespace smerge::merging {
 
 std::vector<double> batch_arrivals(const std::vector<double>& arrivals, double delay) {
   if (!(delay > 0.0)) {
@@ -22,7 +19,7 @@ std::vector<double> batch_arrivals(const std::vector<double>& arrivals, double d
       throw std::invalid_argument("batch_arrivals: arrivals must be nondecreasing");
     }
     prev = t;
-    const double start = batch_start_of(t, delay);
+    const double start = slot_start(slot_of(t, delay), delay);
     if (starts.empty() || start > starts.back()) starts.push_back(start);
   }
   return starts;

@@ -5,25 +5,19 @@
 #include <limits>
 #include <stdexcept>
 
-#include "merging/batching.h"
+#include "core/slot_clock.h"
 #include "util/snapshot.h"
 
 namespace smerge {
 
-Index dg_slot_of(double arrival_time, double slot_duration) {
-  const double slots = arrival_time / slot_duration;
-  const auto rounded = static_cast<Index>(std::ceil(slots - 1e-12));
-  return rounded == 0 ? Index{0} : rounded - 1;
-}
-
 DgAdmission dg_admission(double arrival, double slot_duration, Index slot) {
-  const double start = static_cast<double>(slot + 1) * slot_duration;
-  return {slot, start, std::max(0.0, start - arrival)};
+  const double start = slot_start(slot + 1, slot_duration);
+  return {slot, start, start - arrival};
 }
 
 DgAdmission dg_admission(double arrival, double slot_duration) {
-  return dg_admission(arrival, slot_duration,
-                      dg_slot_of(arrival, slot_duration));
+  const Index boundary = slot_of(arrival, slot_duration);
+  return dg_admission(arrival, slot_duration, boundary == 0 ? 0 : boundary - 1);
 }
 
 namespace {
@@ -48,21 +42,19 @@ class DgObjectPolicy final : public ObjectPolicy {
   }
 
   void finish(double horizon, PolicySink& sink) override {
-    const Index L = dg_->media_length();
     const MergeTree& tmpl = dg_->template_tree();
     const Index block = dg_->block_size();
-    // Every slot that begins within the horizon gets its stream — the
-    // ceil (with dg_slot_of's boundary guard) covers a fractional final
-    // slot, so no admitted client can map past the emitted schedule.
-    // Parents follow the template tree (a prefix keeps its parents), so
-    // the emitted schedule round-trips into a verifiable MergePlan.
-    const auto n = static_cast<Index>(
-        std::ceil(horizon * static_cast<double>(L) - 1e-12));
+    // Every slot that begins before the horizon gets its stream — a
+    // fractional final slot included — so no client admitted at or
+    // before the horizon can map past the emitted schedule. Parents
+    // follow the template tree (a prefix keeps its parents), so the
+    // emitted schedule round-trips into a verifiable MergePlan.
+    const Index n = slot_of(horizon, delay_);
     for (Index t = 0; t < n; ++t) {
       const Index local = t % block;
       const Index parent = local == 0 ? -1 : (t - local) + tmpl.parent(local);
       // Slot t's stream starts where its clients' admissions start.
-      sink.start_stream(dg_admission(0.0, delay_, t).start,
+      sink.start_stream(slot_start(t + 1, delay_),
                         static_cast<double>(dg_->stream_length(t, n)) * delay_,
                         parent);
     }
@@ -84,7 +76,7 @@ class BatchingObjectPolicy final : public ObjectPolicy {
   explicit BatchingObjectPolicy(double delay) : delay_(delay) {}
 
   void on_arrival(double time, PolicySink& sink) override {
-    const double start = merging::batch_start_of(time, delay_);
+    const double start = slot_start(slot_of(time, delay_), delay_);
     if (start > last_start_) {
       sink.start_stream(start, 1.0);
       last_start_ = start;
@@ -120,7 +112,7 @@ class GreedyObjectPolicy final : public ObjectPolicy {
 
   void on_arrival(double time, PolicySink& sink) override {
     if (batched_) {
-      const double start = merging::batch_start_of(time, delay_);
+      const double start = slot_start(slot_of(time, delay_), delay_);
       sink.admit(time, start);
       if (start > last_start_) {
         merger_.arrive(start);

@@ -38,39 +38,32 @@ class SnapshotWriter;
 
 namespace smerge {
 
-/// The slot whose stream serves a client arriving at `arrival_time`
-/// under the DG mapping: an arrival during slot t — the interval
-/// (t*D, (t+1)*D] — is served by the stream starting at the slot's end,
-/// and an arrival exactly on a boundary joins the stream starting right
-/// there (zero wait). The single home of the mapping.
-[[nodiscard]] Index dg_slot_of(double arrival_time, double slot_duration);
-
-/// A client's admission under the DG slot mapping.
+/// A client's admission under the DG slot mapping: slot t is the
+/// interval (t*D, (t+1)*D], served by the stream at its end.
 struct DgAdmission {
   Index slot = 0;      ///< the slot whose stream serves the client
-  double start = 0.0;  ///< that stream's start, (slot + 1) * D
-  double wait = 0.0;   ///< start - arrival, clamped at 0: dg_slot_of
-                       ///< serves an arrival a hair past a boundary from
-                       ///< the stream starting on it
+  double start = 0.0;  ///< that stream's start, slot_start(slot + 1, D)
+  double wait = 0.0;   ///< start - arrival, >= 0 by slot_of's construction
 };
 
 /// The kDgSlot admission of a client arriving at `arrival`, served by
-/// slot `slot` (default: dg_slot_of(arrival, D)) — the single home of
-/// the DG ticket arithmetic, shared by DelayGuaranteedPolicy, the
-/// slotted-batching core and ServerCore::preview_admission.
+/// slot `slot` (default: the slot ending at slot_of(arrival, D), or slot
+/// 0) — the single home of the DG ticket arithmetic, shared by
+/// DelayGuaranteedPolicy, the slotted-batching core and
+/// ServerCore::preview_admission.
 [[nodiscard]] DgAdmission dg_admission(double arrival, double slot_duration,
                                        Index slot);
 [[nodiscard]] DgAdmission dg_admission(double arrival, double slot_duration);
 
 /// Whether a policy's per-arrival decision is a closed-form slot
 /// mapping. A policy advertising a slotted kind promises its on_arrival
-/// admits *exactly* at that mapping — same floating-point expression —
-/// so ServerCore::preview_admission can certify a client's playback
-/// start and wait before the drain that delivers the arrival.
+/// admits *exactly* at that mapping (core/slot_clock) — so
+/// ServerCore::preview_admission can certify a client's playback start
+/// and wait before the drain that delivers the arrival.
 enum class SlotKind : std::uint8_t {
   kNone = 0,   ///< decided at delivery: only the admission is certified
   kDgSlot,     ///< admit at dg_admission(t, D).start
-  kBatchSlot,  ///< admit at merging::batch_start_of(t, D)
+  kBatchSlot,  ///< admit at slot_start(slot_of(t, D), D)
 };
 
 /// Where a policy records its decisions; implemented by the engine.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/slot_clock.h"
 #include "util/simd.h"
 #include "util/snapshot.h"
 #include "util/thread_pool.h"
@@ -59,11 +60,10 @@ ChannelLedger::ChannelLedger(double span, double bucket_width) : width_(bucket_w
   if (!(bucket_width > 0.0)) {
     throw std::invalid_argument("ChannelLedger: bucket width must be positive");
   }
-  const double count = std::ceil(span / bucket_width) + 1.0;
-  if (!(count < 1e8)) {
+  if (!(span / bucket_width < 1e8)) {
     throw std::invalid_argument("ChannelLedger: too many buckets");
   }
-  buckets_.resize(static_cast<std::size_t>(count));
+  buckets_.resize(static_cast<std::size_t>(slot_of(span, bucket_width)) + 1);
   leaves_ = 1;
   while (leaves_ < buckets_.size()) leaves_ *= 2;
   tree_net_.assign(2 * leaves_, 0);
@@ -71,12 +71,10 @@ ChannelLedger::ChannelLedger(double span, double bucket_width) : width_(bucket_w
 }
 
 std::size_t ChannelLedger::bucket_of(double t) const noexcept {
-  if (!(t > 0.0)) return 0;
-  // b > 0 here, so truncation is floor, and floor(b) >= last exactly
-  // when b >= last (last is an integer) — no libm call on the hot path.
-  const double b = t / width_;
+  // Bucket k holds ((k-1)w, kw]; later times clamp into the last one.
   const auto last = buckets_.size() - 1;
-  return b >= static_cast<double>(last) ? last : static_cast<std::size_t>(b);
+  if (t > slot_start(static_cast<Index>(last), width_)) return last;
+  return static_cast<std::size_t>(slot_of(t, width_));
 }
 
 void ChannelLedger::pull(std::size_t node) noexcept {

@@ -8,14 +8,14 @@
 // are O(log B) queries at any time — the substrate for live stats and
 // capacity-aware admission (src/server/server_core.h).
 //
-// Layout: the time axis is cut into fixed-width buckets (one slot wide
-// by default). A stream [start, end) contributes a +1 event to the
-// bucket of `start` and a -1 event to the bucket of `end`; each bucket
-// keeps its events sorted in the canonical sweep order — (time, ends
-// before starts, object id) — alongside two summaries: `net`, the sum
-// of its deltas, and `max_prefix`, the maximum running sum over its
-// prefixes (floored at the empty prefix, 0). A segment tree over the
-// bucket summaries combines them left-to-right
+// Layout: the time axis is cut into slot-clock buckets (one slot wide by
+// default): bucket k holds ((k-1)w, kw]. A stream [start, end)
+// contributes a +1 event to the bucket of `start` and a -1 event to the
+// bucket of `end`; each bucket keeps its events sorted in the canonical
+// sweep order — (time, ends before starts, object id) — alongside two
+// summaries: `net`, the sum of its deltas, and `max_prefix`, the maximum
+// running sum over its prefixes (floored at the empty prefix, 0). A
+// segment tree over the bucket summaries combines them left-to-right
 // (net = l.net + r.net, max_prefix = max(l.max_prefix, l.net +
 // r.max_prefix)), which makes global peak O(1) at the root and
 // occupancy / windowed-maximum queries O(log B) plus two partial bucket
@@ -62,9 +62,9 @@ struct LedgerEvent {
 /// Sorted, bucketed, incrementally queryable channel occupancy.
 class ChannelLedger {
  public:
-  /// Buckets cover [0, span) in `bucket_width` steps; events at or
-  /// beyond the span clamp into the final bucket (order inside a
-  /// bucket is still exact, so clamping never changes any result).
+  /// Buckets cover [0, span] in `bucket_width` steps; events beyond the
+  /// span clamp into the final bucket (order inside a bucket is still
+  /// exact, so clamping never changes any result).
   /// Throws std::invalid_argument on a non-positive span or width.
   ChannelLedger(double span, double bucket_width);
 

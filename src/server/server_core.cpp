@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "core/plan_io.h"
-#include "merging/batching.h"
+#include "core/slot_clock.h"
 #include "util/mpsc_ring.h"
 #include "util/parallel.h"
 #include "util/simd.h"
@@ -60,9 +60,9 @@ bool posted_less(const PostedArrival& a, const PostedArrival& b) noexcept {
 }  // namespace
 
 /// Per-object serving state. Doubles as the object's PolicySink: the
-/// recording semantics (validation, wait clamping, violation counting,
-/// plan assembly) are the legacy engine ShardSink's, verbatim — that is
-/// what keeps the refactored engine bit-identical.
+/// recording semantics (validation, violation counting, plan assembly)
+/// are the legacy engine ShardSink's — that is what keeps the
+/// refactored engine bit-identical.
 struct ServerCore::ObjectState final : PolicySink {
   ObjectState(Index id_, double delay_, bool collect_intervals_, bool collect_plan_,
               const plan::ChunkingConfig& chunking_)
@@ -114,12 +114,9 @@ struct ServerCore::ObjectState final : PolicySink {
   /// (== arrival everywhere except the defer admission mode, which
   /// re-promises from the deferred slot).
   void record_admission(double arrival, double playback_start, double basis) {
-    double wait = playback_start - arrival;
+    const double wait = playback_start - arrival;
     if (wait < 0.0) {
-      if (wait < -1e-9) {
-        throw std::invalid_argument("server-core: playback before arrival");
-      }
-      wait = 0.0;  // boundary rounding, not time travel
+      throw std::invalid_argument("server-core: playback before arrival");
     }
     waits.push_back(wait);
     wait_sum += wait;
@@ -825,7 +822,7 @@ Ticket ServerCore::admit_policy(Index object, double time) {
   ticket.arrival = time;
   ticket.decision_time = time;
   ticket.playback_start = state.last_playback;
-  ticket.wait = std::max(0.0, state.last_playback - time);
+  ticket.wait = state.last_playback - time;
   ticket.guarantee_wait = ticket.wait;
   return ticket;
 }
@@ -850,7 +847,7 @@ void ServerCore::start_slot_stream(ObjectState& state, Index slot, double start,
 Ticket ServerCore::admit_slotted(Index object, double time) {
   ObjectState& state = *impl_->objects[index_of(object)];
   const double delay = config_.delay;
-  const Index slot = dg_slot_of(time, delay);
+  const Index slot = dg_admission(time, delay).slot;
 
   Ticket ticket;
   ticket.object = object;
@@ -864,14 +861,11 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
     return index_of(s) < state.slot_has_stream.size() &&
            state.slot_has_stream[index_of(s)] != 0;
   };
-  const auto slot_start = [&](Index s) {
-    return dg_admission(time, delay, s).start;
-  };
 
   Index serve_slot = slot;
   bool fits = slot_covered(slot) ||
               config_.admission == AdmissionMode::kObserve ||
-              slot_stream_fits(slot_start(slot), 1.0);
+              slot_stream_fits(slot_start(slot + 1, delay), 1.0);
   if (!fits) {
     switch (config_.admission) {
       case AdmissionMode::kObserve:
@@ -883,7 +877,7 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
         for (Index k = 1; k <= config_.max_defer_slots && !fits; ++k) {
           serve_slot = slot + k;
           fits = slot_covered(serve_slot) ||
-                 slot_stream_fits(slot_start(serve_slot), 1.0);
+                 slot_stream_fits(slot_start(serve_slot + 1, delay), 1.0);
         }
         if (!fits) {
           ++impl_->rejected;
@@ -892,7 +886,7 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
         ticket.deferred_slots = serve_slot - slot;
         // The guarantee re-runs from the deferred slot's start; the
         // queueing time stays visible in `wait`.
-        ticket.decision_time = static_cast<double>(serve_slot) * delay;
+        ticket.decision_time = slot_start(serve_slot, delay);
         ++impl_->deferrals;
         break;
       }
@@ -903,7 +897,7 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
         while (!fits) {
           ++serve_slot;
           fits = slot_covered(serve_slot) ||
-                 slot_stream_fits(slot_start(serve_slot), 1.0);
+                 slot_stream_fits(slot_start(serve_slot + 1, delay), 1.0);
         }
         ticket.deferred_slots = serve_slot - slot;
         ticket.degraded = true;
@@ -914,7 +908,7 @@ Ticket ServerCore::admit_slotted(Index object, double time) {
   }
 
   if (!slot_covered(serve_slot)) {
-    start_slot_stream(state, serve_slot, slot_start(serve_slot), 1.0, -1);
+    start_slot_stream(state, serve_slot, slot_start(serve_slot + 1, delay), 1.0, -1);
   }
   const DgAdmission served = dg_admission(time, delay, serve_slot);
   ticket.admitted = true;
@@ -1139,7 +1133,7 @@ void ServerCore::exact_percentiles(util::DelayProfile& profile) const {
 
 namespace {
 
-constexpr std::string_view kCheckpointSchema = "smerge-ckpt-v3";
+constexpr std::string_view kCheckpointSchema = "smerge-ckpt-v4";
 
 void save_config(util::SnapshotWriter& w, const ServerCoreConfig& c) {
   w.i64(c.objects);
@@ -1476,11 +1470,8 @@ Ticket ServerCore::preview_admission(Index object, double time) const {
       return t;
     }
     case SlotKind::kBatchSlot: {
-      const double start = merging::batch_start_of(time, config_.delay);
-      t.playback_start = start;
-      // Clamped like the drain's record of the wait: a negative field
-      // is the "decided at drain" sentinel.
-      t.wait = std::max(0.0, start - time);
+      t.playback_start = slot_start(slot_of(time, config_.delay), config_.delay);
+      t.wait = t.playback_start - time;
       t.guarantee_wait = t.wait;
       return t;
     }

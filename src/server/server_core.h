@@ -320,8 +320,8 @@ class ServerCore {
 
   /// A thread-safe admission preview: the Ticket a client arriving at
   /// `time` will receive, computed from construction-time slot
-  /// arithmetic alone (dg_admission / merging::batch_start_of — the
-  /// closed-form mappings the policy's SlotKind names; a
+  /// arithmetic alone (dg_admission or slot_start(slot_of(t, D), D) —
+  /// the closed-form mappings the policy's SlotKind names; a
   /// slotted-batching core admits by the DG slot mapping), without
   /// touching any mutable core state. Under a channel budget the preview is the admission made
   /// when the budget has room; refusals and deferrals are decided only
@@ -339,7 +339,7 @@ class ServerCore {
   /// counters, the merged wait histogram, the channel ledger (each
   /// bucket's events in canonical order), and every object's recorder,
   /// mailbox, session log and policy state — into a checksummed
-  /// `smerge-ckpt-v3` frame (restore refuses v1 and v2 ones).
+  /// `smerge-ckpt-v4` frame (restore refuses v1, v2 and v3 ones).
   /// Valid at any quiescent pre-finish point (between drains / admits).
   /// `wal_records` is the number of admission WAL records this state
   /// already covers (the replay cursor); `driver_blob` is an opaque

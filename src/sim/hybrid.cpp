@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/slot_clock.h"
 #include "online/delay_guaranteed.h"
 
 namespace smerge::sim {
@@ -40,7 +41,7 @@ HybridOutcome run_hybrid(const std::vector<double>& arrivals, double horizon,
   }
   const double D = params.delay;
   const Index L = std::max<Index>(1, static_cast<Index>(std::llround(1.0 / D)));
-  const Index slots = std::max<Index>(1, static_cast<Index>(std::ceil(horizon / D - 1e-9)));
+  const Index slots = std::max<Index>(1, slot_of(horizon, D));
   const DelayGuaranteedOnline dg(L);
 
   // Arrivals per slot k covering (kD, (k+1)D], k = 0..slots-1.
@@ -50,8 +51,7 @@ HybridOutcome run_hybrid(const std::vector<double>& arrivals, double horizon,
   for (const double t : arrivals) {
     if (t < prev) throw std::invalid_argument("run_hybrid: arrivals must be sorted");
     prev = t;
-    const auto k = std::min<Index>(
-        slots - 1, std::max<Index>(0, static_cast<Index>(std::ceil(t / D)) - 1));
+    const Index k = std::min<Index>(slots - 1, std::max<Index>(0, slot_of(t, D) - 1));
     ++occupancy[index_of(k)];
     per_slot[index_of(k)].push_back(t);
   }
@@ -95,7 +95,7 @@ HybridOutcome run_hybrid(const std::vector<double>& arrivals, double horizon,
     const Index run = end - k;
     total_cost += static_cast<double>(dg.cost(run)) / static_cast<double>(L);
     for (Index t = 0; t < run; ++t) {
-      const double start = static_cast<double>(k + t + 1) * D;
+      const double start = slot_start(k + t + 1, D);
       const double dur = static_cast<double>(dg.stream_length(t, run)) * D;
       events.emplace_back(start, +1);
       events.emplace_back(start + dur, -1);

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <stdexcept>
 
+#include "core/slot_clock.h"
+#include "online/policy.h"
 #include "sim/arrivals.h"
 
 namespace smerge::merging {
@@ -20,10 +24,11 @@ TEST(BatchArrivals, DeduplicatesWithinInterval) {
   EXPECT_EQ(starts, (std::vector<double>{0.1, 0.2}));
 }
 
+// Exactly, also where the rounded quotient overshoots: 0.07 / 0.01 is
+// 7.000000000000001, which a bare ceil(t / D) put into the next batch.
 TEST(BatchArrivals, BoundaryArrivalGetsZeroDelay) {
-  const std::vector<double> starts = batch_arrivals({0.2}, 0.1);
-  ASSERT_EQ(starts.size(), 1u);
-  EXPECT_DOUBLE_EQ(starts[0], 0.2);
+  EXPECT_EQ(batch_arrivals({0.2}, 0.1), (std::vector<double>{0.2}));
+  EXPECT_EQ(batch_arrivals({0.07}, 0.01), (std::vector<double>{0.07}));
 }
 
 TEST(BatchArrivals, DelayGuaranteeHolds) {
@@ -32,10 +37,70 @@ TEST(BatchArrivals, DelayGuaranteeHolds) {
   const std::vector<double> starts = batch_arrivals(arrivals, delay);
   // Each arrival is served by the first start at or after it, within D.
   for (const double t : arrivals) {
-    const auto it = std::lower_bound(starts.begin(), starts.end(), t - 1e-12);
+    const auto it = std::lower_bound(starts.begin(), starts.end(), t);
     ASSERT_NE(it, starts.end());
-    EXPECT_GE(*it + 1e-12, t);
     EXPECT_LT(*it - t, delay + 1e-9);
+  }
+}
+
+// Every boundary k*D, computed as the workload generators and tests
+// write it, maps back to slot k — no epsilon to outgrow.
+TEST(BatchArrivals, SlotOfIsExactAtEveryBoundary) {
+  std::mt19937_64 rng(20261022);
+  std::uniform_real_distribution<double> delay_dist(1e-4, 1.0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double d = delay_dist(rng);
+    Index misses = 0;
+    for (Index k = 0; k <= 100000; ++k) {
+      if (slot_of(static_cast<double>(k) * d, d) != k) ++misses;
+    }
+    EXPECT_EQ(misses, 0) << "d=" << d;
+  }
+}
+
+// slot_of is monotone and brackets every time between consecutive
+// boundaries: slot_start(k - 1) < t <= slot_start(k).
+TEST(BatchArrivals, SlotOfBracketsSortedTimes) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> delay_dist(1e-4, 1.0);
+  for (int trial = 0; trial < 50; ++trial) {
+    const double d = delay_dist(rng);
+    std::uniform_real_distribution<double> time_dist(0.0, 2000.0 * d);
+    std::vector<double> times(2000);
+    for (double& t : times) t = time_dist(rng);
+    std::sort(times.begin(), times.end());
+    Index prev = 0;
+    for (const double t : times) {
+      const Index k = slot_of(t, d);
+      ASSERT_GE(k, prev) << "d=" << d << " t=" << t;
+      ASSERT_LE(t, slot_start(k, d)) << "d=" << d << " t=" << t;
+      if (k > 0) {
+        ASSERT_LT(slot_start(k - 1, d), t) << "d=" << d << " t=" << t;
+      }
+      prev = k;
+    }
+  }
+  EXPECT_EQ(slot_of(0.0, 0.1), 0);
+  EXPECT_EQ(slot_of(-1.0, 0.1), 0);
+}
+
+// Accumulated `t += gap` traces — the constant-rate generator's form,
+// drifting off the exact multiples — never yield a negative wait, under
+// batching or the Delay Guaranteed slot mapping.
+TEST(BatchArrivals, AccumulatedTracesNeverWaitNegative) {
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> delay_dist(1e-3, 1.0);
+  std::uniform_int_distribution<int> ratio_dist(1, 8);
+  for (int trial = 0; trial < 100; ++trial) {
+    const double d = delay_dist(rng);
+    // Gaps that divide D (a constant rate aligned with the slots) and
+    // gaps equal to it.
+    const double gap = d / ratio_dist(rng);
+    for (const double t : sim::constant_arrivals(gap, 2000.0 * gap)) {
+      const double start = slot_start(slot_of(t, d), d);
+      ASSERT_GE(start - t, 0.0) << "d=" << d << " t=" << t;
+      ASSERT_GE(dg_admission(t, d).wait, 0.0) << "d=" << d << " t=" << t;
+    }
   }
 }
 

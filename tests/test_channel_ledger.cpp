@@ -275,16 +275,20 @@ TEST(ChannelLedgerRuns, RestoreRefusesNonCanonicalBuckets) {
   const LedgerEvent start{0.3, 0, +1, true};
   const LedgerEvent end{0.4, 0, -1, false};
   const LedgerEvent other{0.3, 1, +1, true};
-  EXPECT_EQ(restore_refusal({{}, {start, other, end}, {}}), "restored");
+  EXPECT_EQ(restore_refusal({{}, {}, {start, other, end}}), "restored");
   // Out of canonical order: time, then object id.
-  for (const std::string& why : {restore_refusal({{}, {end, start}, {}}),
-                                 restore_refusal({{}, {other, start}, {}})}) {
+  for (const std::string& why : {restore_refusal({{}, {}, {end, start}}),
+                                 restore_refusal({{}, {}, {other, start}})}) {
     EXPECT_NE(why.find("canonical order"), std::string::npos) << why;
   }
-  // Filed in a bucket other than its time's (0.3 and 0.4 lie in
-  // bucket 1).
-  for (const std::string& why : {restore_refusal({{start}, {end}, {}}),
-                                 restore_refusal({{}, {start}, {end}})}) {
+  // Filed in a bucket other than its time's: bucket k holds
+  // ((k-1)w, kw], so 0.3 and 0.4 lie in bucket 2 and a time exactly on
+  // the boundary 0.25 in bucket 1.
+  const LedgerEvent boundary{0.25, 0, +1, true};
+  EXPECT_EQ(restore_refusal({{}, {boundary}, {}}), "restored");
+  for (const std::string& why : {restore_refusal({{}, {start}, {end}}),
+                                 restore_refusal({{}, {end}, {start}}),
+                                 restore_refusal({{}, {}, {boundary}})}) {
     EXPECT_NE(why.find("wrong bucket"), std::string::npos) << why;
   }
 }

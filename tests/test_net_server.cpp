@@ -22,7 +22,7 @@
 
 #include <gtest/gtest.h>
 
-#include "merging/batching.h"
+#include "core/slot_clock.h"
 #include "net/client.h"
 #include "net/event_loop.h"
 #include "net/server.h"
@@ -180,9 +180,9 @@ TEST(NetServer, ChurnPreservesIdentity) {
   server.stop();
 }
 
-// Tickets carry the batching preview: playback at batch_start_of, wait
-// derived from it, admitted always (the generic policy path rejects
-// nothing at admission).
+// Tickets carry the batching preview: playback at the slot clock's
+// slot_start(slot_of(t, D), D), wait derived from it, admitted always
+// (the generic policy path rejects nothing at admission).
 TEST(NetServer, TicketsCarryBatchArithmetic) {
   const auto traces = make_traces(8, 10);
   BatchingPolicy policy;
@@ -197,7 +197,7 @@ TEST(NetServer, TicketsCarryBatchArithmetic) {
   ASSERT_EQ(tickets.size(), 8u * 10u);
   for (const server::Ticket& t : tickets) {
     EXPECT_TRUE(t.admitted);
-    const double expected_start = merging::batch_start_of(t.arrival, kDelay);
+    const double expected_start = slot_start(slot_of(t.arrival, kDelay), kDelay);
     EXPECT_EQ(t.playback_start, expected_start);
     EXPECT_EQ(t.wait, expected_start - t.arrival);
     EXPECT_EQ(t.guarantee_wait, expected_start - t.decision_time);

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/slot_clock.h"
 #include "server/channel_ledger.h"
 #include "server/wire.h"
 #include "sim/engine.h"
@@ -680,19 +681,33 @@ TEST(ServerCore, PreviewLeavesDrainDecidedPoliciesOpen) {
 
 // Both slot tickets a client can be handed — the preview the wire stamps
 // and the serial admit() — agree field for field and never report a
-// negative wait (the wire's "decided at drain" sentinel), also for
-// arrivals a hair past a slot boundary: dg_slot_of serves those from the
-// stream starting on that boundary, and batch_start_of can round to a
-// start just below them (0.03 + 1 ulp at delay 0.01). A slotted-batching
-// core admits by the DG slot mapping, so it must preview by it too.
+// negative wait (the wire's "decided at drain" sentinel). Every slot
+// kind maps time through the slot clock, which serves an arrival exactly
+// on a boundary from the stream starting there (wait 0) and one a hair
+// past it from the next slot's stream. The boundaries below are the ones
+// a bare ceil(t / D) and a ceil with an absolute 1e-12 guard put in the
+// next slot (0.07 at delay 0.01 would wait a full slot; 256.03 lies past
+// the guard's reach). A slotted-batching core admits by the DG slot
+// mapping, so it must preview by it too.
 TEST(ServerCore, SlotTicketsMatchAdmitAtBoundaries) {
+  constexpr double kDelay = 0.01;
+  const Index boundaries[] = {7, 14, 28, 56, 57, 25603};
   std::vector<std::vector<double>> traces = preview_corpus();
   traces.push_back(
       {0.0, std::nextafter(0.03, 1.0), 0.05 + 1e-16, 0.07, 0.3 + 5e-17});
+  std::vector<double> on_boundary;
+  std::vector<double> past_boundary;
+  for (const Index k : boundaries) {
+    on_boundary.push_back(static_cast<double>(k) * kDelay);
+    past_boundary.push_back(std::nextafter(on_boundary.back(), 1e9));
+  }
+  const auto on_object = static_cast<Index>(traces.size());
+  traces.push_back(on_boundary);
+  traces.push_back(past_boundary);
   ServerCoreConfig config;
   config.objects = static_cast<Index>(traces.size());
-  config.delay = 0.01;
-  config.horizon = 8.0;
+  config.delay = kDelay;
+  config.horizon = 257.0;  // reaches boundary 25603
   DelayGuaranteedPolicy dg;
   ServerCore dg_core(config, dg);
   BatchingPolicy batching;
@@ -703,7 +718,9 @@ TEST(ServerCore, SlotTicketsMatchAdmitAtBoundaries) {
   for (ServerCore* core : {&dg_core, &batching_core, &slotted_core}) {
     const bool slotted = core == &slotted_core;
     for (Index m = 0; m < config.objects; ++m) {
-      for (const double t : traces[static_cast<std::size_t>(m)]) {
+      const std::vector<double>& times = traces[static_cast<std::size_t>(m)];
+      for (std::size_t i = 0; i < times.size(); ++i) {
+        const double t = times[i];
         SCOPED_TRACE(std::string(core == &dg_core         ? "dg"
                                  : core == &batching_core ? "batching"
                                                           : "slotted") +
@@ -727,6 +744,12 @@ TEST(ServerCore, SlotTicketsMatchAdmitAtBoundaries) {
         // With the fields equal, this holds for the preview too.
         EXPECT_GE(admitted.wait, 0.0);
         EXPECT_GE(admitted.guarantee_wait, 0.0);
+        if (m == on_object) {
+          EXPECT_EQ(preview.wait, 0.0);
+          EXPECT_EQ(admitted.wait, 0.0);
+        } else if (m == on_object + 1) {
+          EXPECT_EQ(admitted.playback_start, slot_start(boundaries[i] + 1, kDelay));
+        }
         ++tickets;
       }
     }
@@ -740,8 +763,10 @@ TEST(ServerCore, SlotTicketsMatchAdmitAtBoundaries) {
 // slotted Delay Guaranteed serving mode was retired (the digests of the
 // three policy runs date back to before finish() gained its
 // bucket-partitioned ledger fill and selection-based quantiles); their
-// mid-run checkpoint bytes were re-recorded for smerge-ckpt-v3 (the
-// canonical ledger record). Every shard width must still land on the
+// mid-run checkpoint bytes were re-recorded for smerge-ckpt-v4 (the
+// slot clock's ledger buckets: only the slotted-batching-defer record,
+// whose stream starts sit on bucket boundaries, changed beyond the
+// schema string). Every shard width must still land on the
 // same digest: the fold order, the ledger's canonical event order and
 // the nearest-rank percentiles are unchanged.
 enum class DigestRun {
@@ -855,13 +880,13 @@ struct PinnedRun {
 
 constexpr PinnedRun kPinnedRuns[] = {
     {DigestRun::kGreedyBatched, "greedy-batched", 0xcc4f567a182347d6ull,
-     0x01ea5d1d1080ccafull},
+     0x088fc6ba0ff4a1b9ull},
     {DigestRun::kDgPolicy, "dg-policy", 0xb3721ed08361dab0ull,
-     0xc0a5a3170b3b6ec0ull},
+     0x5ed716a90c0e598dull},
     {DigestRun::kSlottedBatchingDefer, "slotted-batching-defer",
-     0x5f8a23071d882bebull, 0x29605e7805a71562ull},
+     0x5f8a23071d882bebull, 0xd1b5421a12afc4ddull},
     {DigestRun::kSessions, "sessions", 0xe3a2656da12601abull,
-     0x447bb6b0e94b6b65ull},
+     0x6147fbb8edcca4ddull},
 };
 
 TEST(ServerCore, FinishDigestsArePinned) {
@@ -902,14 +927,15 @@ TEST(ServerCore, CheckpointBytesArePinned) {
 // smerge-ckpt-v2 replaced v1's P² marker sets with the wait histogram
 // and dropped the retired slotted Delay Guaranteed and bucket-width
 // positions; v3 dropped v2's ledger sort cursors and dirty list and
-// writes each bucket in canonical order. Older frames are refused
-// outright. The retired mode's serve byte (1) is still a config
-// mismatch.
+// writes each bucket in canonical order; v4 files each ledger event in
+// the slot clock's bucket ((k-1)w, kw], where v3 cut [kw, (k+1)w).
+// Older frames are refused outright. The retired mode's serve byte (1)
+// is still a config mismatch.
 TEST(ServerCore, CheckpointV1FramesAreRefused) {
   ServerCoreConfig config;
   config.serve = ServeMode::kSlottedBatching;
   const std::vector<std::uint8_t> frame = ServerCore(config).checkpoint();
-  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v3");
+  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v4");
   const auto body = reader.raw(reader.remaining());
   const auto restore_as = [&](std::string_view schema, std::size_t at,
                               std::uint8_t byte) {
@@ -922,7 +948,7 @@ TEST(ServerCore, CheckpointV1FramesAreRefused) {
   // The serve byte follows objects, delay, horizon and shards.
   const std::size_t serve = 32;
   ASSERT_EQ(body[serve], 2);
-  EXPECT_NO_THROW(restore_as("smerge-ckpt-v3", serve, 2));
+  EXPECT_NO_THROW(restore_as("smerge-ckpt-v4", serve, 2));
   const auto refusal = [&](std::string_view schema, std::uint8_t serve_byte) {
     try {
       restore_as(schema, serve, serve_byte);
@@ -933,7 +959,8 @@ TEST(ServerCore, CheckpointV1FramesAreRefused) {
   };
   EXPECT_NE(refusal("smerge-ckpt-v1", 2).find("schema mismatch"), std::string::npos);
   EXPECT_NE(refusal("smerge-ckpt-v2", 2).find("schema mismatch"), std::string::npos);
-  EXPECT_NE(refusal("smerge-ckpt-v3", 1).find("config mismatch: serve"),
+  EXPECT_NE(refusal("smerge-ckpt-v3", 2).find("schema mismatch"), std::string::npos);
+  EXPECT_NE(refusal("smerge-ckpt-v4", 1).find("config mismatch: serve"),
             std::string::npos);
 }
 
@@ -946,7 +973,7 @@ TEST(ServerCore, CheckpointRefusesAHistogramThatDisagreesWithTheWaits) {
   ServerCore core(config);
   for (int i = 0; i < 5; ++i) (void)core.admit(0, 0.3 * i);
   const std::vector<std::uint8_t> frame = core.checkpoint();
-  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v3");
+  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v4");
   const auto body = reader.raw(reader.remaining());
   // The histogram's zero count (u64) follows the 85-byte config echo,
   // the WAL cursor, the empty driver blob's length and seven counters.
@@ -957,7 +984,7 @@ TEST(ServerCore, CheckpointRefusesAHistogramThatDisagreesWithTheWaits) {
   util::SnapshotWriter w;
   w.raw(payload);
   try {
-    (void)ServerCore(config).restore_state(w.frame("smerge-ckpt-v3"));
+    (void)ServerCore(config).restore_state(w.frame("smerge-ckpt-v4"));
     ADD_FAILURE() << "a histogram with one extra count was restored";
   } catch (const util::SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("wait histogram disagrees"), std::string::npos)
@@ -975,7 +1002,7 @@ TEST(ServerCore, CheckpointRefusesStreamEventsThatAreNotPairs) {
   ServerCore core(config);
   const Ticket ticket = core.admit(0, 0.3);
   const std::vector<std::uint8_t> frame = core.checkpoint();
-  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v3");
+  util::SnapshotReader reader = util::SnapshotReader::open(frame, "smerge-ckpt-v4");
   const auto body = reader.raw(reader.remaining());
   // Object 0's record: its event count (2), then the start and its +1.
   // The ledger files the same time beside the object id, not a delta.
@@ -991,7 +1018,7 @@ TEST(ServerCore, CheckpointRefusesStreamEventsThatAreNotPairs) {
     util::SnapshotWriter w;
     w.raw(payload);
     try {
-      (void)ServerCore(config).restore_state(w.frame("smerge-ckpt-v3"));
+      (void)ServerCore(config).restore_state(w.frame("smerge-ckpt-v4"));
     } catch (const util::SnapshotError& e) {
       return std::string(e.what());
     }
